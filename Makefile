@@ -7,7 +7,7 @@ GO ?= go
 ## check: full gate — vet, build, the test suite under the race detector,
 ## the microbenchmark compile/run smoke, the chaos gate (fault injection,
 ## fuzzing, crash recovery), the observability smoke (span traces), the
-## sharded-replay smoke (byte-identical figures at -shards 4 under -race),
+## sharded-replay smoke (-shards 4 under -race diffed against -shards 1),
 ## the trace-spill smoke (tiny -trace-budget forcing disk spill), the
 ## 3-node cluster smoke (routing, coalescing, owner kill), the distributed
 ## tracing smoke (one cross-node trace through tracelint -cluster), and the
@@ -59,13 +59,19 @@ serve-smoke:
 obs-smoke:
 	sh scripts/obs_smoke.sh
 
-## shard-smoke: run a small figure with sharded replay under the race
-## detector. -parallel 1 keeps the cell matrix serial so the shard count is
-## honored exactly even on a small GOMAXPROCS; the equivalence tests in
-## internal/engine and internal/experiments already run under `race`, so
-## this exercises the CLI wiring end to end.
+## shard-smoke: run a small GPS figure with GPU-parallel replay under the
+## race detector and diff its output against the sequential run (all but
+## the timing line must match). -parallel 1 keeps the cell matrix serial so
+## the shard count is honored exactly even on a small GOMAXPROCS; the
+## equivalence tests in internal/engine and internal/experiments already
+## run under `race`, so this exercises the CLI wiring end to end.
 shard-smoke:
-	$(GO) run -race ./cmd/gpsbench -fig 9 -iters 2 -parallel 1 -shards 4 -json /tmp/gpsbench-shard-smoke.json
+	$(GO) build -race -o /tmp/gpsbench-shard-smoke ./cmd/gpsbench
+	/tmp/gpsbench-shard-smoke -fig 9 -iters 2 -parallel 1 -shards 4 > /tmp/gpsbench-shard-smoke-4.out
+	/tmp/gpsbench-shard-smoke -fig 9 -iters 2 -parallel 1 -shards 1 > /tmp/gpsbench-shard-smoke-1.out
+	grep -v '^done in ' /tmp/gpsbench-shard-smoke-4.out > /tmp/gpsbench-shard-smoke-4.txt
+	grep -v '^done in ' /tmp/gpsbench-shard-smoke-1.out > /tmp/gpsbench-shard-smoke-1.txt
+	diff /tmp/gpsbench-shard-smoke-1.txt /tmp/gpsbench-shard-smoke-4.txt
 
 ## spill-smoke: run a small figure with a trace budget far below any quick
 ## trace's compressed footprint, so the cache spills every trace to disk and

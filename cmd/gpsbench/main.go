@@ -9,7 +9,7 @@
 //	gpsbench -sens tlb|pagesize|watermark
 //	gpsbench -iters 4 -scale 1    # workload sizing
 //	gpsbench -all -parallel 8     # run the experiment matrix on 8 workers
-//	gpsbench -fig 12 -shards 8    # shard each structural replay across 8 goroutines
+//	gpsbench -fig 14 -shards 8    # replay each GPS cell's GPUs on up to 8 goroutines
 //	gpsbench -sens hier           # 32/64-GPU hierarchical NVSwitch sweep
 //	gpsbench -fig 8 -json out.json
 //	gpsbench -all -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
@@ -48,7 +48,7 @@ func main() {
 		rep      = flag.String("report", "", "write a full markdown report to this file")
 		chart    = flag.Bool("chart", false, "also render line-chart views of figures 13 and 14")
 		parallel = flag.Int("parallel", 0, "experiment worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-		shards   = flag.Int("shards", 1, "goroutines per structural replay; output is byte-identical at any count, capped so workers x shards fits GOMAXPROCS")
+		shards   = flag.Int("shards", 1, "goroutines per structural replay, split by GPU (GPS and GPS-nosub only; other paradigms replay sequentially); output is byte-identical at any count, capped so workers x shards fits GOMAXPROCS")
 		budget   = flag.Int64("trace-budget", 0, "trace cache resident byte budget; compressed blocks spill to a temp file beyond it (0 = default 4 GiB)")
 		jsonOut  = flag.String("json", "", "write headline metrics, per-figure wall clock, rendered tables and cache stats as JSON to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")

@@ -10,7 +10,7 @@
 //	gpsd -workers 4 -queue 32           # more concurrency, deeper queue
 //	gpsd -job-timeout 5m -drain 30s     # per-job cap, shutdown drain budget
 //	gpsd -parallel 8                    # simulation cells per job
-//	gpsd -shards 4                      # goroutines per structural replay
+//	gpsd -shards 4                      # goroutines per GPS replay, split by GPU
 //	gpsd -journal gpsd.journal          # durable job log; crash recovery
 //	gpsd -job-retries 3                 # attempts per job on transient failure
 //	gpsd -pprof 127.0.0.1:6060          # net/http/pprof on a separate listener
@@ -83,7 +83,7 @@ func main() {
 		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "per-job execution cap (0 = unlimited)")
 		drain      = flag.Duration("drain", 30*time.Second, "shutdown drain budget for running jobs")
 		parallel   = flag.Int("parallel", 0, "simulation worker goroutines per job (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "goroutines per structural replay; results are byte-identical at any count, capped so jobs x cells x shards fits GOMAXPROCS")
+		shards     = flag.Int("shards", 1, "goroutines per structural replay, split by GPU (GPS and GPS-nosub only; other paradigms replay sequentially); results are byte-identical at any count, capped so jobs x cells x shards fits GOMAXPROCS")
 		cacheN     = flag.Int("cache", 256, "content-addressed result cache entries")
 		journalP   = flag.String("journal", "", "job journal path; enables crash recovery (empty = no journal)")
 		jobRetries = flag.Int("job-retries", 3, "attempts per job on transient failure")

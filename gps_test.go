@@ -207,6 +207,20 @@ func TestKernelValidation(t *testing.T) {
 	if err := sys.Launch(); err == nil {
 		t.Fatal("empty launch accepted")
 	}
+	// Launch seals a builder's stream: relaunching replays it again, and
+	// appending to it afterwards is rejected rather than silently dropped.
+	k := sys.NewKernel(1, "again").Store(buf, 0, 1<<12)
+	for i := 0; i < 2; i++ {
+		if err := sys.Launch(k); err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.phases[len(sys.phases)-1].Kernels[0].NumAccesses(); got != 32 {
+			t.Fatalf("launch %d replays %d accesses, want 32", i, got)
+		}
+	}
+	if err := sys.Launch(k.FenceSys()); err == nil {
+		t.Fatal("kernel modified after launch accepted")
+	}
 }
 
 func TestTrackingWindowRules(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"gps/internal/memsys"
 )
@@ -18,7 +17,7 @@ type AccessTracker struct {
 	pages    uint64
 	bitmaps  [][]uint64 // [gpu][word]
 	active   bool
-	recorded uint64
+	recorded []uint64 // per GPU, so GPUs replaying concurrently never share a counter
 }
 
 // NewAccessTracker covers the GPS address range [base, base+size) for
@@ -35,7 +34,8 @@ func NewAccessTracker(geom memsys.Geometry, base memsys.VAddr, size uint64, numG
 	for g := range bitmaps {
 		bitmaps[g] = make([]uint64, words)
 	}
-	return &AccessTracker{geom: geom, baseVPN: first, pages: pages, bitmaps: bitmaps}
+	return &AccessTracker{geom: geom, baseVPN: first, pages: pages, bitmaps: bitmaps,
+		recorded: make([]uint64, numGPUs)}
 }
 
 // BitmapBytes returns the DRAM footprint of one GPU's bitmap. (The paper:
@@ -50,7 +50,7 @@ func (t *AccessTracker) Start() {
 			bm[i] = 0
 		}
 	}
-	t.recorded = 0
+	clear(t.recorded)
 	t.active = true
 }
 
@@ -62,7 +62,13 @@ func (t *AccessTracker) Active() bool { return t.active }
 
 // Recorded returns the number of bitmap set operations performed, a proxy
 // for the (low) DRAM bandwidth the unit consumes.
-func (t *AccessTracker) Recorded() uint64 { return t.recorded }
+func (t *AccessTracker) Recorded() uint64 {
+	var n uint64
+	for _, r := range t.recorded {
+		n += r
+	}
+	return n
+}
 
 // RecordTLBMiss notes that gpu missed its last-level TLB on vpn. Misses
 // outside the tracked range or while tracking is disabled are ignored, which
@@ -78,27 +84,8 @@ func (t *AccessTracker) RecordTLBMiss(gpu int, vpn memsys.VPN) {
 	word, bit := idx/64, idx%64
 	if t.bitmaps[gpu][word]&(1<<bit) == 0 {
 		t.bitmaps[gpu][word] |= 1 << bit
-		t.recorded++
+		t.recorded[gpu]++
 	}
-}
-
-// Merge folds another tracker's bitmaps into t. Both trackers must cover
-// the same range for the same GPU count. Sharded replay gives each shard a
-// private tracker and merges them at the profiling barrier; because the
-// merge ORs bitmaps and recomputes the distinct-bit count, the result is
-// identical to recording every miss on one tracker.
-func (t *AccessTracker) Merge(o *AccessTracker) {
-	if t.baseVPN != o.baseVPN || t.pages != o.pages || len(t.bitmaps) != len(o.bitmaps) {
-		panic("core: merging trackers over different ranges")
-	}
-	var recorded uint64
-	for g := range t.bitmaps {
-		for w := range t.bitmaps[g] {
-			t.bitmaps[g][w] |= o.bitmaps[g][w]
-			recorded += uint64(bits.OnesCount64(t.bitmaps[g][w]))
-		}
-	}
-	t.recorded = recorded
 }
 
 // Touched reports whether gpu accessed vpn during the last profiling phase.

@@ -6,7 +6,6 @@ import (
 
 	"gps/internal/engine"
 	"gps/internal/paradigm"
-	"gps/internal/trace"
 	"gps/internal/workload"
 )
 
@@ -40,10 +39,10 @@ func BenchmarkEngineRun(b *testing.B) {
 }
 
 // BenchmarkEngineRunSharded replays a 16-GPU HIT trace through GPS at
-// several shard counts. The shards=1 case goes through the sharded entry
-// point but falls back to the sequential path, so the spread between
-// shards=1 and shards=8 is the parallel speedup (plus fork/merge overhead);
-// on a single-core box expect the overhead only.
+// several shard counts. The shards=1 case runs the same loop on one worker,
+// so the spread between shards=1 and shards=8 is the GPU-parallel speedup
+// (plus per-phase fan-out overhead); on a single-core box expect the
+// overhead only.
 func BenchmarkEngineRunSharded(b *testing.B) {
 	cfg := workload.Config{NumGPUs: 16, Iterations: 2, Scale: 1, Seed: 1}
 	spec, err := workload.ByName("hit")
@@ -60,35 +59,6 @@ func BenchmarkEngineRunSharded(b *testing.B) {
 					b.Fatal(err)
 				}
 				engine.RunSharded(prog, m, shards)
-			}
-		})
-	}
-}
-
-// BenchmarkEngineRunStorage pits the two trace storage forms against each
-// other on the same materialized program (mirroring the runner's trace
-// cache): flat []Access replay versus columnar block decode. The columnar
-// variant is what production replay now runs; the flat variant is the old
-// layout kept for comparison.
-func BenchmarkEngineRunStorage(b *testing.B) {
-	spec, err := workload.ByName("jacobi")
-	if err != nil {
-		b.Fatal(err)
-	}
-	columnar := trace.Collect(spec.Build(benchConfig))
-	flat := trace.Flatten(columnar)
-	for _, v := range []struct {
-		name string
-		prog trace.Program
-	}{{"columnar", columnar}, {"flat", flat}} {
-		b.Run("jacobi/gps/"+v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m, err := paradigm.New(paradigm.KindGPS, v.prog, paradigm.DefaultConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				engine.Run(v.prog, m)
 			}
 		})
 	}

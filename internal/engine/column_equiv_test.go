@@ -7,14 +7,13 @@ import (
 	"gps/internal/trace"
 )
 
-// TestRunColumnarMatchesFlat replays the same program from flat slices,
-// columnar blocks, and spilled columnar blocks, and requires the model to see
-// an identical access stream and the engine to produce an identical result.
-// This is the storage-equivalence oracle for the block-cursor replay path.
-func TestRunColumnarMatchesFlat(t *testing.T) {
-	flat := twoGPUProgram()
-	col := trace.Columnize(flat)
-	spilled := trace.Columnize(flat)
+// TestRunSpilledMatchesResident replays the same program from resident and
+// spilled columnar blocks, and requires the model to see an identical access
+// stream and the engine to produce an identical result. This is the
+// storage-equivalence oracle for the block-cursor replay path.
+func TestRunSpilledMatchesResident(t *testing.T) {
+	resident := twoGPUProgram()
+	spilled := twoGPUProgram()
 	sf, err := trace.NewSpillFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -27,41 +26,13 @@ func TestRunColumnarMatchesFlat(t *testing.T) {
 		m := &recordingModel{}
 		return m, Run(p, m)
 	}
-	mFlat, rFlat := run(flat)
-	for name, p := range map[string]trace.Program{"columnar": col, "spilled": spilled} {
-		m, r := run(p)
-		if !reflect.DeepEqual(m.accesses, mFlat.accesses) {
-			t.Fatalf("%s replay fed the model a different access stream", name)
-		}
-		if !reflect.DeepEqual(r, rFlat) {
-			t.Fatalf("%s replay produced a different result", name)
-		}
+	mRes, rRes := run(resident)
+	mSp, rSp := run(spilled)
+	if !reflect.DeepEqual(mSp.accesses, mRes.accesses) {
+		t.Fatal("spilled replay fed the model a different access stream")
 	}
-}
-
-// TestRunShardedColumnarMatchesFlat checks the sharded replay path decodes
-// blocks identically on both shard axes and at several widths.
-func TestRunShardedColumnarMatchesFlat(t *testing.T) {
-	flat := twoGPUProgram()
-	col := trace.Columnize(flat)
-	spilled := trace.Columnize(flat)
-	sf, err := trace.NewSpillFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := spilled.Spill(sf); err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 8} {
-		m := &recordingModel{}
-		want := RunSharded(flat, m, shards)
-		for name, p := range map[string]trace.Program{"columnar": col, "spilled": spilled} {
-			m2 := &recordingModel{}
-			got := RunSharded(p, m2, shards)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d: %s result diverged from flat", shards, name)
-			}
-		}
+	if !reflect.DeepEqual(rSp, rRes) {
+		t.Fatal("spilled replay produced a different result")
 	}
 }
 
@@ -69,7 +40,7 @@ func TestRunShardedColumnarMatchesFlat(t *testing.T) {
 // no longer be fetched panics out of the replay loop (the experiment runner's
 // fences turn this into a typed cell error).
 func TestRunPanicsOnUnreadableBlock(t *testing.T) {
-	col := trace.Columnize(twoGPUProgram())
+	col := twoGPUProgram()
 	sf, err := trace.NewSpillFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -10,29 +10,29 @@ import (
 // never straddle a block boundary (the compile fails here otherwise).
 const _ = uint(-(trace.BlockAccesses % chunk))
 
-// blockCursor serves sequential windows of one kernel's instruction stream
-// regardless of storage form: flat kernels are sliced directly; columnar
-// kernels decode one block at a time into the cursor's private decoder
+// blockCursor serves sequential windows of one kernel's instruction stream,
+// decoding one columnar block at a time into the cursor's private decoder
 // buffer, so a full []Access is never materialized during replay. Each
-// kernel slot in a replay (and each shard) owns its own cursor, because the
+// kernel slot in a replay worker owns its own cursor, because the
 // round-robin revisits kernels while their neighbors' windows are live.
 type blockCursor struct {
-	flat       []trace.Access
 	col        *trace.ColumnAccesses
 	dec        trace.BlockDecoder
 	cur        []trace.Access // decoded records of block blockIdx
 	blockIdx   int
 	blockStart int
+	pos        int // next record to serve
 	n          int
 }
 
-// reset points the cursor at k's stream, keeping the decode buffers.
+// reset points the cursor at the start of k's stream, keeping the decode
+// buffers.
 func (c *blockCursor) reset(k *trace.Kernel) {
-	c.flat = k.Accesses
 	c.col = k.Col
 	c.cur = nil
 	c.blockIdx = -1
 	c.blockStart = 0
+	c.pos = 0
 	c.n = k.NumAccesses()
 }
 
@@ -43,9 +43,6 @@ func (c *blockCursor) reset(k *trace.Kernel) {
 // construction, and the experiment runner's panic fences turn the panic
 // into a typed cell error.
 func (c *blockCursor) window(start, end int) []trace.Access {
-	if c.col == nil {
-		return c.flat[start:end]
-	}
 	if bi := start / trace.BlockAccesses; bi != c.blockIdx {
 		accs, err := c.dec.Decode(c.col, bi)
 		if err != nil {

@@ -147,9 +147,9 @@ type Model interface {
 	// BeginPhase announces the next phase; profiles is the output vector
 	// (one per GPU) the model accumulates traffic into.
 	BeginPhase(index int, profiles []Profile)
-	// Access processes one warp instruction by gpu whose SM coalescer
-	// produced the given line-aligned addresses.
-	Access(gpu int, a trace.Access, lines []uint64)
+	// AccessBatch processes one chunk of gpu's warp instructions, in stream
+	// order, each with the line-aligned addresses its SM coalescer produced.
+	AccessBatch(gpu int, b *Batch)
 	// EndPhase is the global synchronization barrier ending the phase
 	// (implicit sys-scoped release of every grid).
 	EndPhase(index int)
@@ -168,15 +168,6 @@ type Batch struct {
 
 // LinesOf returns the coalesced lines of instruction i.
 func (b *Batch) LinesOf(i int) []uint64 { return b.Lines[b.Offs[i]:b.Offs[i+1]] }
-
-// BatchModel is an optional fast path: models that implement it receive a
-// whole chunk of instructions per call, so interface dispatch and per-call
-// setup (profile pointer, region/page caches) amortize across the chunk.
-// AccessBatch must be equivalent to calling Access per instruction in order.
-type BatchModel interface {
-	Model
-	AccessBatch(gpu int, b *Batch)
-}
 
 // chunk is the number of consecutive warp instructions one GPU executes
 // before the replay rotates to the next GPU's kernel, approximating the
@@ -200,93 +191,7 @@ func Run(prog trace.Program, m Model) *Result { return RunObserved(prog, m, nil)
 // RunObserved is Run with an optional phase observer. A nil observer costs
 // one nil check per phase, so the uninstrumented path stays free.
 func RunObserved(prog trace.Program, m Model, po PhaseObserver) *Result {
-	meta := prog.Meta()
-	n := meta.NumGPUs
-	res := &Result{Meta: meta, Paradigm: m.Name()}
-	exp := NewExpander(LineBytes)
-	bm, _ := m.(BatchModel)
-	var batch Batch
-
-	var cursors []int
-	var readers []blockCursor
-	prog.Phases(func(ph *trace.Phase) bool {
-		if po != nil {
-			po.PhaseStart(ph.Index, len(ph.Kernels))
-		}
-		profiles := newProfiles(n)
-		for _, k := range ph.Kernels {
-			profiles[k.GPU].ComputeOps += k.ComputeOps
-			profiles[k.GPU].LocalBytes += k.LocalStreamBytes
-		}
-		m.BeginPhase(ph.Index, profiles)
-
-		// Round-robin the kernels' instruction streams in chunks. The cursor
-		// and block-reader scratch is reused across phases — each kernel slot
-		// keeps its own reader so decode buffers survive the interleaving —
-		// (profiles cannot be: they live on in the Result).
-		if cap(cursors) < len(ph.Kernels) {
-			cursors = make([]int, len(ph.Kernels))
-		} else {
-			cursors = cursors[:len(ph.Kernels)]
-			for i := range cursors {
-				cursors[i] = 0
-			}
-		}
-		for len(readers) < len(ph.Kernels) {
-			readers = append(readers, blockCursor{})
-		}
-		rs := readers[:len(ph.Kernels)]
-		for ki := range ph.Kernels {
-			rs[ki].reset(&ph.Kernels[ki])
-		}
-		// Only kernels with instructions await completion: an empty kernel
-		// never reaches the end-of-stream decrement below, and counting it
-		// would spin the round-robin loop forever.
-		remaining := 0
-		for ki := range rs {
-			if rs[ki].n > 0 {
-				remaining++
-			}
-		}
-		for remaining > 0 {
-			for ki := range ph.Kernels {
-				k := &ph.Kernels[ki]
-				r := &rs[ki]
-				if cursors[ki] >= r.n {
-					continue
-				}
-				end := cursors[ki] + chunk
-				if end >= r.n {
-					end = r.n
-					remaining--
-				}
-				accs := r.window(cursors[ki], end)
-				if bm != nil {
-					batch.Accs = accs
-					batch.Offs = append(batch.Offs[:0], 0)
-					batch.Lines = batch.Lines[:0]
-					for _, a := range accs {
-						batch.Lines = exp.AppendLines(batch.Lines, a)
-						batch.Offs = append(batch.Offs, int32(len(batch.Lines)))
-					}
-					bm.AccessBatch(k.GPU, &batch)
-				} else {
-					for _, a := range accs {
-						m.Access(k.GPU, a, exp.Expand(a))
-					}
-				}
-				cursors[ki] = end
-			}
-		}
-
-		m.EndPhase(ph.Index)
-		res.Phases = append(res.Phases, PhaseRecord{Index: ph.Index, Profiles: profiles})
-		if po != nil {
-			po.PhaseEnd(ph.Index)
-		}
-		return true
-	})
-	m.Finish(res)
+	res, _ := RunShardedObserved(prog, m, 1, po)
 	return res
 }
 

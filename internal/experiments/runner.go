@@ -71,7 +71,7 @@ type CacheStats struct {
 	SpillReadBytes    uint64 // bytes read back from the spill file
 	EngineRuns        uint64 // structural replays executed
 	EngineHits        uint64 // structural results served from cache
-	ShardedRuns       uint64 // structural replays executed with >1 shard
+	ShardedRuns       uint64 // structural replays that fanned out across GPU-parallel workers
 	BaselineRuns      uint64 // single-GPU baseline simulations executed
 	BaselineHits      uint64 // baseline requests served from cache
 }
@@ -211,11 +211,13 @@ func (r *Runner) Workers() int {
 	return n
 }
 
-// SetShards sets how many goroutines each structural replay shards across
-// (engine.RunSharded); n <= 1 means sequential replay. Rendered output is
-// byte-identical at any shard count, so this is purely a latency knob: the
-// count is honored exactly, and bounding shards x workers by GOMAXPROCS is
-// the caller's policy (the CLIs clamp, tests pin exact counts).
+// SetShards sets how many goroutines each structural replay may fan out
+// across (engine.RunSharded); n <= 1 means sequential replay. Only models
+// with per-GPU replay state fan out (GPS and GPS-nosub); the others replay
+// sequentially at any count. Rendered output is byte-identical at any
+// shard count, so this is purely a latency knob: the count is honored
+// exactly, and bounding shards x workers by GOMAXPROCS is the caller's
+// policy (the CLIs clamp, tests pin exact counts).
 func (r *Runner) SetShards(n int) {
 	if n < 1 {
 		n = 1
@@ -298,21 +300,16 @@ func (r *Runner) ResetCaches() {
 const accessBytes = 24
 
 // traceCost approximates the resident heap bytes of a materialized trace.
-// Columnar kernels count their compressed block bytes — or just their block
-// index once spilled — so the cache budget admits far more traces than the
-// flat layout would.
+// Kernels count their compressed block bytes — or just their block index
+// once spilled — so the cache budget admits far more traces than the flat
+// layout would.
 func traceCost(rec *trace.Recorded) uint64 {
 	var cost uint64 = 4 << 10
 	for i := range rec.Ph {
 		cost += 1 << 10
 		for k := range rec.Ph[i].Kernels {
 			kn := &rec.Ph[i].Kernels[k]
-			cost += 256
-			if kn.Col != nil {
-				cost += kn.Col.ResidentBytes()
-			} else {
-				cost += uint64(len(kn.Accesses)) * accessBytes
-			}
+			cost += 256 + kn.Col.ResidentBytes()
 		}
 	}
 	return cost
@@ -378,10 +375,10 @@ func (r *Runner) traceCtx(ctx context.Context, app string, cfg workload.Config) 
 // (including the entry just inserted — under a tiny budget even the newest
 // trace belongs on disk) move their blocks to the shared spill file, keeping
 // the trace cached and replayable at a fraction of the cost. Pass 2 evicts:
-// if spilling every candidate still leaves the cache over budget (flat
-// traces, the per-trace index overhead, or a broken spill file), the LRU
-// entries other than keep are dropped entirely and must be rebuilt on the
-// next request. Callers hold r.mu.
+// if spilling every candidate still leaves the cache over budget (the
+// per-trace index overhead, or a broken spill file), the LRU entries other
+// than keep are dropped entirely and must be rebuilt on the next request.
+// Callers hold r.mu.
 func (r *Runner) evictLocked(keep traceKey) {
 	for r.resident > r.budget {
 		var victim *traceEntry
@@ -481,10 +478,11 @@ func (r *Runner) structural(ctx context.Context, app string, wcfg workload.Confi
 		shards := r.Shards()
 		sctx, span := obs.StartSpan(ctx, obs.CatPhase, "engine-replay",
 			"app", app, "paradigm", kind.String())
-		e.res = engine.RunShardedObserved(prog, model, shards, enginePhaseSpans(sctx, shards))
+		var fanned bool
+		e.res, fanned = engine.RunShardedObserved(prog, model, shards, enginePhaseSpans(sctx, shards))
 		span.End()
 		r.engineRuns.Add(1)
-		if shards > 1 {
+		if fanned {
 			r.shardedRuns.Add(1)
 		}
 	})

@@ -51,6 +51,29 @@ func TestRunnerCacheCounters(t *testing.T) {
 	}
 }
 
+// TestRunnerShardedRunsCountsFanOut: at -shards 4 only replays that
+// actually fan out across GPU-parallel workers count as sharded. UM replays
+// sequentially at any shard count; GPS fans out.
+func TestRunnerShardedRunsCountsFanOut(t *testing.T) {
+	r := NewRunner(1)
+	r.SetShards(4)
+	cell := func(k paradigm.Kind) Cell {
+		return Cell{App: "jacobi", Kind: k, GPUs: 4, Fab: MainFabric(4), Opt: quick(), Cfg: paradigm.DefaultConfig()}
+	}
+	if _, err := r.RunMatrix(context.Background(), []Cell{cell(paradigm.KindUM)}); err != nil {
+		t.Fatal(err)
+	}
+	if s := r.CacheStats(); s.EngineRuns != 1 || s.ShardedRuns != 0 {
+		t.Fatalf("UM-only matrix: EngineRuns %d ShardedRuns %d, want 1 and 0", s.EngineRuns, s.ShardedRuns)
+	}
+	if _, err := r.RunMatrix(context.Background(), []Cell{cell(paradigm.KindGPS)}); err != nil {
+		t.Fatal(err)
+	}
+	if s := r.CacheStats(); s.EngineRuns != 2 || s.ShardedRuns != 1 {
+		t.Fatalf("after a GPS matrix: EngineRuns %d ShardedRuns %d, want 2 and 1", s.EngineRuns, s.ShardedRuns)
+	}
+}
+
 // TestRunnerBaselineMatrixCounters drives the same assertion through the
 // batched entry point the figures use.
 func TestRunnerBaselineMatrixCounters(t *testing.T) {

@@ -45,7 +45,7 @@ type gpsModel struct {
 	profiling bool
 	subHist   map[int]int
 	flags     *memsys.PageMap[gpsPageFlags]
-	forwarded uint64 // loads served from the write queue
+	forwarded []uint64 // per GPU: loads served from the write queue
 }
 
 // gpsPageFlags is the model's slab-packed per-page bookkeeping outside the
@@ -64,8 +64,9 @@ func newGPS(meta trace.Meta, cfg Config, mode gpsMode) (*gpsModel, error) {
 		name = "GPS-unsub-default"
 	}
 	m := &gpsModel{
-		base: newBase(name, meta, cfg),
-		mode: mode,
+		base:      newBase(name, meta, cfg),
+		mode:      mode,
+		forwarded: make([]uint64, meta.NumGPUs),
 	}
 	m.flags = memsys.NewPageMap[gpsPageFlags](m.pageBytes)
 	mgr, err := core.NewManager(m.geom, m.n, cfg.Machine.GPU.GlobalMemory)
@@ -175,8 +176,25 @@ func (m *gpsModel) translate(gpu int, vpn uint64) memsys.PTE {
 	return pte
 }
 
-func (m *gpsModel) Access(gpu int, a trace.Access, lines []uint64) {
-	m.AccessBatch(gpu, m.singleBatch(a, lines))
+// ParallelPhase lets the engine replay ph's kernels concurrently on
+// disjoint GPU sets. Within a phase GPS keeps its per-access state per GPU —
+// conventional TLBs, GPS-TLBs inside the translation units, write queues,
+// the tracker's bitmaps and the forwarded-load counters — and only reads the
+// manager's page tables, which change at barriers on the calling goroutine.
+// Two things mutate shared state mid-phase and force sequential replay:
+// unsubscribed-by-default profiling subscribes pages on first read, and a
+// sys-scoped store or atomic collapses a GPS page (Section 5.3), which
+// rewrites every GPU's translation.
+func (m *gpsModel) ParallelPhase(ph *trace.Phase) bool {
+	if m.mode == gpsUnsubscribedByDefault {
+		return false
+	}
+	for i := range ph.Kernels {
+		if ph.Kernels[i].Col.SysWrites() > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // isManual reports whether vpn carries pinned manual subscriptions. Peek
@@ -209,7 +227,7 @@ func (m *gpsModel) AccessBatch(gpu int, b *engine.Batch) {
 				if pte.GPS && wq.Contains(memsys.VAddr(line)) {
 					// The pending block in the local write queue forwards its
 					// value (Section 5.1): no interconnect crossing.
-					m.forwarded++
+					m.forwarded[gpu]++
 					prof.LocalBytes += lineBytes
 					continue
 				}
@@ -289,8 +307,8 @@ func (m *gpsModel) EndPhase(index int) {
 
 func (m *gpsModel) Finish(res *engine.Result) {
 	res.SubscriberHist = m.subHist
-	res.ForwardedLoads = m.forwarded
 	for g := 0; g < m.n; g++ {
+		res.ForwardedLoads += m.forwarded[g]
 		res.WriteQueueHitRate = append(res.WriteQueueHitRate, m.wq[g].Stats().HitRate())
 		res.GPSTLBHitRate = append(res.GPSTLBHitRate, m.xu[g].Stats().HitRate())
 		res.ConvTLBHitRate = append(res.ConvTLBHitRate, m.convTLB[g].HitRate())

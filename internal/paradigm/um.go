@@ -43,10 +43,6 @@ func newUM(meta trace.Meta, cfg Config) *umModel {
 	return m
 }
 
-func (m *umModel) Access(gpu int, a trace.Access, lines []uint64) {
-	m.AccessBatch(gpu, m.singleBatch(a, lines))
-}
-
 func (m *umModel) AccessBatch(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
 	lastSlot, lastVPN := ^uint64(0), ^uint64(0)

@@ -385,7 +385,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		func(c experiments.CacheStats) uint64 { return c.BaselineRuns })
 	cache("gps_runner_baseline_hits_total", "Baseline requests served from cache.",
 		func(c experiments.CacheStats) uint64 { return c.BaselineHits })
-	cache("gps_runner_sharded_replays_total", "Structural replays executed with more than one shard.",
+	cache("gps_runner_sharded_replays_total", "Structural replays that fanned out across GPU-parallel workers.",
 		func(c experiments.CacheStats) uint64 { return c.ShardedRuns })
 	cache("gps_runner_trace_spills_total", "Traces whose columnar blocks moved to the spill file.",
 		func(c experiments.CacheStats) uint64 { return c.TraceSpills })

@@ -109,3 +109,38 @@ func TestSolveWindowConservation(t *testing.T) {
 		t.Fatalf("finished at %v, below physical bound %v", end, lower)
 	}
 }
+
+// TestAssignRatesBitDeterministic re-solves one multi-flow window in which
+// GPU 0's egress and GPU 3's ingress tie for the bottleneck share, and
+// requires bit-identical rates every time: which tied link freezes first
+// changes the floating-point rounding, so the tie-break must not depend on
+// map iteration order.
+func TestAssignRatesBitDeterministic(t *testing.T) {
+	fab := interconnect.PCIeTree(4, interconnect.PCIe3)
+	var flows []*flow
+	for _, sd := range [][2]int{{0, 3}, {0, 2}, {2, 3}, {0, 2}, {1, 3}} {
+		flows = append(flows, &flow{src: sd[0], dst: sd[1], bytes: 1e6, cap: math.Inf(1)})
+	}
+	solve := func() []uint64 {
+		active := make([]*flowState, len(flows))
+		for i, f := range flows {
+			active[i] = &flowState{f: f, remaining: f.bytes, path: fab.Path(f.src, f.dst)}
+		}
+		assignRates(active, fab)
+		bits := make([]uint64, len(active))
+		for i, st := range active {
+			bits[i] = math.Float64bits(st.rate)
+		}
+		return bits
+	}
+	want := solve()
+	for i := 0; i < 100; i++ {
+		got := solve()
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("solve %d: flow %d rate %v, first solve %v", i,
+					j, math.Float64frombits(got[j]), math.Float64frombits(want[j]))
+			}
+		}
+	}
+}

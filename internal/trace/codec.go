@@ -124,6 +124,24 @@ func DecodeJSON(r io.Reader) (*Recorded, error) {
 	return rec, nil
 }
 
+// UnmarshalJSON decodes a kernel, rejecting the retired flat "Accesses"
+// form: silently dropping it would replay the kernel as empty.
+func (k *Kernel) UnmarshalJSON(data []byte) error {
+	type plain Kernel // no methods: plain decoding of every field
+	var aux struct {
+		plain
+		Accesses json.RawMessage
+	}
+	if err := json.Unmarshal(data, &aux); err != nil {
+		return err
+	}
+	if len(aux.Accesses) > 0 && string(aux.Accesses) != "null" {
+		return fmt.Errorf("trace: kernel %q stores its accesses in the flat \"Accesses\" form, which is no longer supported; EncodeJSON writes the columnar \"Col\" form", aux.Name)
+	}
+	*k = Kernel(aux.plain)
+	return nil
+}
+
 func putUvarint(w *bufio.Writer, v uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)

@@ -45,6 +45,7 @@ const BlockAccesses = 4096
 type ColumnAccesses struct {
 	n          int    // total records
 	compressed uint64 // sum of encoded block sizes
+	sysWrites  int    // sys-scoped stores and atomics, counted at encode time
 
 	mu     sync.Mutex
 	blocks [][]byte   // resident encoded blocks; nil once spilled
@@ -59,6 +60,15 @@ func (c *ColumnAccesses) Len() int {
 		return 0
 	}
 	return c.n
+}
+
+// SysWrites returns the number of sys-scoped stores and atomics in the
+// stream. It is counted while encoding, so asking costs no decode.
+func (c *ColumnAccesses) SysWrites() int {
+	if c == nil {
+		return 0
+	}
+	return c.sysWrites
 }
 
 // NumBlocks returns the number of encoded blocks.
@@ -180,6 +190,7 @@ func (c *ColumnAccesses) block(i int, scratch []byte) (data, newScratch []byte, 
 type ColumnEncoder struct {
 	n          int
 	compressed uint64
+	sysWrites  int
 	blocks     [][]byte
 	sizes      []int32
 	buf        []Access
@@ -191,6 +202,9 @@ func (e *ColumnEncoder) Append(a Access) {
 		e.buf = make([]Access, 0, BlockAccesses)
 	}
 	e.buf = append(e.buf, a)
+	if a.Scope == ScopeSys && a.IsWrite() {
+		e.sysWrites++
+	}
 	if len(e.buf) == BlockAccesses {
 		e.flush()
 	}
@@ -220,6 +234,7 @@ func (e *ColumnEncoder) Finish() *ColumnAccesses {
 	c := &ColumnAccesses{
 		n:          e.n,
 		compressed: e.compressed,
+		sysWrites:  e.sysWrites,
 		blocks:     e.blocks,
 		sizes:      e.sizes,
 	}
@@ -543,7 +558,7 @@ func (c *ColumnAccesses) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &cj); err != nil {
 		return err
 	}
-	total := 0
+	total, sysWrites := 0, 0
 	var sizes []int32
 	var compressed uint64
 	buf := make([]Access, BlockAccesses)
@@ -553,6 +568,11 @@ func (c *ColumnAccesses) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("trace: column block %d: %w", i, err)
 		}
 		total += len(out)
+		for _, a := range out {
+			if a.Scope == ScopeSys && a.IsWrite() {
+				sysWrites++
+			}
+		}
 		sizes = append(sizes, int32(len(b)))
 		compressed += uint64(len(b))
 		if i < len(cj.Blocks)-1 && len(out) != BlockAccesses {
@@ -566,6 +586,7 @@ func (c *ColumnAccesses) UnmarshalJSON(data []byte) error {
 	c.blocks = cj.Blocks
 	c.sizes = sizes
 	c.compressed = compressed
+	c.sysWrites = sysWrites
 	c.spill = nil
 	c.offs = nil
 	return nil

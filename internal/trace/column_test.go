@@ -244,11 +244,10 @@ func TestDecodeBlockRejectsCorrupt(t *testing.T) {
 	}
 }
 
-func TestKernelEachBlockBothForms(t *testing.T) {
+func TestKernelEachBlock(t *testing.T) {
 	accs := randomAccesses(2*BlockAccesses+9, 11)
-	flat := Kernel{GPU: 0, Name: "k", Accesses: accs}
 	col := Kernel{GPU: 0, Name: "k", Col: EncodeColumns(accs)}
-	if flat.NumAccesses() != col.NumAccesses() {
+	if col.NumAccesses() != len(accs) {
 		t.Fatal("NumAccesses disagrees")
 	}
 	var dec BlockDecoder
@@ -260,10 +259,7 @@ func TestKernelEachBlockBothForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, accs) {
-		t.Fatal("EachBlock diverged from flat stream")
-	}
-	if !reflect.DeepEqual(col.FlatAccesses(), accs) {
-		t.Fatal("FlatAccesses diverged")
+		t.Fatal("EachBlock diverged from the encoded stream")
 	}
 	// Early stop.
 	calls := 0
@@ -273,53 +269,40 @@ func TestKernelEachBlockBothForms(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("early stop made %d calls", calls)
 	}
-}
-
-func TestColumnizeFlattenInverse(t *testing.T) {
-	orig := sampleProgram()
-	col := Columnize(orig)
-	for pi := range col.Ph {
-		for ki := range col.Ph[pi].Kernels {
-			k := &col.Ph[pi].Kernels[ki]
-			if k.Col == nil || k.Accesses != nil {
-				t.Fatalf("kernel %s not columnized", k.Name)
-			}
-		}
-	}
-	if !reflect.DeepEqual(Flatten(col), orig) {
-		t.Fatal("Flatten(Columnize(p)) != p")
-	}
-	if !reflect.DeepEqual(Summarize(col), Summarize(orig)) {
-		t.Fatal("Summarize disagrees between forms")
+	// A kernel without accesses yields nothing.
+	var empty Kernel
+	if err := empty.EachBlock(&dec, func([]Access) bool { t.Fatal("empty kernel yielded"); return true }); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestBinaryCodecAgnosticToStorage(t *testing.T) {
-	// The wire format must not depend on the in-memory storage form.
-	var flat, col bytes.Buffer
-	if err := Encode(&flat, sampleProgram()); err != nil {
+func TestColumnEncoderCountsSysWrites(t *testing.T) {
+	accs := []Access{
+		{Op: OpStore, Scope: ScopeSys, Threads: 1, ElemBytes: 4},
+		{Op: OpAtomic, Scope: ScopeSys, Threads: 1, ElemBytes: 4},
+		{Op: OpLoad, Scope: ScopeSys, Threads: 1, ElemBytes: 4},
+		{Op: OpFence, Scope: ScopeSys},
+		{Op: OpStore, Scope: ScopeGPU, Threads: 1, ElemBytes: 4},
+	}
+	c := EncodeColumns(accs)
+	if c.SysWrites() != 2 {
+		t.Fatalf("SysWrites = %d, want 2 (one store, one atomic)", c.SysWrites())
+	}
+	js, err := json.Marshal(c)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Encode(&col, Columnize(sampleProgram())); err != nil {
+	var back ColumnAccesses
+	if err := json.Unmarshal(js, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(flat.Bytes(), col.Bytes()) {
-		t.Fatal("binary encoding differs between flat and columnar kernels")
-	}
-	var s1, s2 bytes.Buffer
-	if err := EncodeStream(&s1, sampleProgram()); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeStream(&s2, Columnize(sampleProgram())); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(s1.Bytes(), s2.Bytes()) {
-		t.Fatal("stream encoding differs between flat and columnar kernels")
+	if back.SysWrites() != 2 {
+		t.Fatalf("SysWrites after JSON = %d, want 2", back.SysWrites())
 	}
 }
 
 func TestRecordedSpill(t *testing.T) {
-	rec := Columnize(sampleProgram())
+	rec := sampleProgram()
 	sf, err := NewSpillFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -331,11 +314,20 @@ func TestRecordedSpill(t *testing.T) {
 	if freed == 0 {
 		t.Fatal("nothing freed")
 	}
-	if !reflect.DeepEqual(Flatten(rec), sampleProgram()) {
-		t.Fatal("spilled trace no longer replays identically")
+	want := sampleProgram()
+	for pi := range want.Ph {
+		for ki := range want.Ph[pi].Kernels {
+			k := &rec.Ph[pi].Kernels[ki]
+			if !k.Col.Spilled() {
+				t.Fatalf("kernel %s stayed resident", k.Name)
+			}
+			if !reflect.DeepEqual(decodeAll(t, k.Col), decodeAll(t, want.Ph[pi].Kernels[ki].Col)) {
+				t.Fatal("spilled trace no longer replays identically")
+			}
+		}
 	}
-	// Spilling a flat trace is a no-op.
-	if f2, err := sampleProgram().Spill(sf); err != nil || f2 != 0 {
-		t.Fatalf("flat spill: freed %d, err %v", f2, err)
+	// Spilling an already spilled trace is a no-op.
+	if f2, err := rec.Spill(sf); err != nil || f2 != 0 {
+		t.Fatalf("second spill: freed %d, err %v", f2, err)
 	}
 }

@@ -74,9 +74,8 @@ func (e *StreamEncoder) Close() error {
 }
 
 // encodePhase writes one phase in the batch format's phase layout. The wire
-// format is storage-agnostic: columnar kernels are decoded block by block
-// and written as the same flat record stream, so both kernel forms produce
-// identical bytes.
+// format is a flat record stream: columnar kernels are decoded block by
+// block on the way out and re-encoded by decodePhase on the way in.
 func encodePhase(bw *bufio.Writer, ph *Phase) error {
 	putUvarint(bw, uint64(ph.Index))
 	putString(bw, ph.Label)
@@ -192,7 +191,8 @@ func (d *StreamDecoder) Phases(yield func(*Phase) bool) {
 	}
 }
 
-// decodePhase reads one phase in the batch format's phase layout.
+// decodePhase reads one phase in the batch format's phase layout, encoding
+// each kernel's records into columnar blocks as they arrive.
 func decodePhase(br *bufio.Reader) (*Phase, error) {
 	var ph Phase
 	idx, err := binary.ReadUvarint(br)
@@ -233,14 +233,12 @@ func decodePhase(br *bufio.Reader) (*Phase, error) {
 		if numAcc > 1<<28 {
 			return nil, fmt.Errorf("trace: implausible access count %d", numAcc)
 		}
-		if numAcc > 0 {
-			k.Accesses = make([]Access, 0, numAcc)
-		}
+		var enc ColumnEncoder
+		var hdr [5]byte
 		prevAddr := uint64(0)
 		for ai := uint64(0); ai < numAcc; ai++ {
 			var a Access
-			hdr := make([]byte, 5)
-			if _, err := io.ReadFull(br, hdr); err != nil {
+			if _, err := io.ReadFull(br, hdr[:]); err != nil {
 				return nil, err
 			}
 			a.Op, a.Scope, a.Pattern = Op(hdr[0]), Scope(hdr[1]), Pattern(hdr[2])
@@ -264,8 +262,9 @@ func decodePhase(br *bufio.Reader) (*Phase, error) {
 			if err := a.Validate(); err != nil {
 				return nil, fmt.Errorf("trace: stream kernel %d access %d: %w", ki, ai, err)
 			}
-			k.Accesses = append(k.Accesses, a)
+			enc.Append(a)
 		}
+		k.Col = enc.Finish()
 		ph.Kernels = append(ph.Kernels, k)
 	}
 	return &ph, nil

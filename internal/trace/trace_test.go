@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -27,22 +28,22 @@ func sampleProgram() *Recorded {
 				Kernels: []Kernel{
 					{
 						GPU: 0, Name: "k0", ComputeOps: 1000,
-						Accesses: []Access{
+						Col: EncodeColumns([]Access{
 							{Op: OpLoad, Scope: ScopeWeak, Pattern: PatContiguous, Threads: 32, ElemBytes: 4, Addr: 0},
 							{Op: OpStore, Scope: ScopeWeak, Pattern: PatContiguous, Threads: 32, ElemBytes: 4, Addr: 128},
 							{Op: OpAtomic, Scope: ScopeGPU, Pattern: PatScattered, Threads: 16, ElemBytes: 4, Stride: 64, Seed: 7, Addr: 4096},
 							{Op: OpFence, Scope: ScopeSys},
-						},
+						}),
 					},
-					{GPU: 1, Name: "k1", ComputeOps: 500, Accesses: []Access{
+					{GPU: 1, Name: "k1", ComputeOps: 500, Col: EncodeColumns([]Access{
 						{Op: OpLoad, Scope: ScopeWeak, Pattern: PatStrided, Threads: 8, ElemBytes: 8, Stride: 256, Addr: 1 << 20},
-					}},
+					})},
 				},
 			},
 			{Index: 1, Label: "iter1", Kernels: []Kernel{
-				{GPU: 0, Name: "k0", ComputeOps: 1000, Accesses: []Access{
+				{GPU: 0, Name: "k0", ComputeOps: 1000, Col: EncodeColumns([]Access{
 					{Op: OpStore, Scope: ScopeWeak, Pattern: PatContiguous, Threads: 32, ElemBytes: 4, Addr: 256},
-				}},
+				})},
 			}},
 		},
 	}
@@ -151,9 +152,13 @@ func TestSummarize(t *testing.T) {
 func TestCollectDeepCopies(t *testing.T) {
 	orig := sampleProgram()
 	cp := Collect(orig)
-	cp.Ph[0].Kernels[0].Accesses[0].Addr = 0xdead
-	if orig.Ph[0].Kernels[0].Accesses[0].Addr == 0xdead {
-		t.Fatal("Collect aliased the access slice")
+	cp.Ph[0].Kernels[0].Name = "renamed"
+	if orig.Ph[0].Kernels[0].Name == "renamed" {
+		t.Fatal("Collect aliased the kernel slice")
+	}
+	// The encoded blocks are immutable, so the column store is shared.
+	if cp.Ph[0].Kernels[1].Col != orig.Ph[0].Kernels[1].Col {
+		t.Fatal("Collect copied an immutable column store")
 	}
 }
 
@@ -184,6 +189,27 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(orig, got) {
 		t.Fatal("JSON round trip mismatch")
+	}
+}
+
+// A JSON trace in the retired flat form must fail loudly rather than replay
+// its kernels as empty.
+func TestDecodeJSONRejectsFlatForm(t *testing.T) {
+	flat := `{"M":{"Name":"old","NumGPUs":1},"Ph":[{"Index":0,"Kernels":[` +
+		`{"GPU":0,"Name":"k0","Accesses":[{"Op":1,"Threads":32,"ElemBytes":4,"Addr":128}]}]}]}`
+	if _, err := DecodeJSON(strings.NewReader(flat)); err == nil ||
+		!strings.Contains(err.Error(), `"Accesses"`) {
+		t.Fatalf("flat JSON kernel: err = %v, want a flat-form rejection", err)
+	}
+	// A null Accesses key carries no records: the kernel decodes as written.
+	empty := `{"M":{"Name":"old","NumGPUs":1},"Ph":[{"Index":0,"Kernels":[` +
+		`{"GPU":0,"Name":"k0","ComputeOps":5,"Accesses":null,"Col":null}]}]}`
+	rec, err := DecodeJSON(strings.NewReader(empty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := rec.Ph[0].Kernels[0]; k.Name != "k0" || k.ComputeOps != 5 || k.Col != nil {
+		t.Fatalf("decoded kernel %+v", k)
 	}
 }
 
@@ -227,11 +253,13 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		for i := 0; i < int(nPhases%4)+1; i++ {
 			ph := Phase{Index: i}
 			for k := 0; k < int(nKernels%3)+1; k++ {
-				kn := Kernel{GPU: k % 4, Name: "k", ComputeOps: rng.Uint64() % 1e9}
+				var enc ColumnEncoder
 				for a := 0; a < int(nAcc%50); a++ {
-					kn.Accesses = append(kn.Accesses, randomAccess())
+					enc.Append(randomAccess())
 				}
-				ph.Kernels = append(ph.Kernels, kn)
+				ph.Kernels = append(ph.Kernels, Kernel{
+					GPU: k % 4, Name: "k", ComputeOps: rng.Uint64() % 1e9, Col: enc.Finish(),
+				})
 			}
 			p.Ph = append(p.Ph, ph)
 		}

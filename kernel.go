@@ -10,11 +10,13 @@ import (
 const lineBytes = 128
 
 // KernelBuilder assembles one kernel launch's memory access stream. Methods
-// chain; the kernel executes when passed to Launch.
+// chain; the kernel executes when passed to Launch, which seals its stream.
 type KernelBuilder struct {
-	sys *System
-	k   trace.Kernel
-	err error
+	sys    *System
+	k      trace.Kernel
+	enc    trace.ColumnEncoder
+	sealed bool // launched: k.Col holds the finished stream
+	err    error
 }
 
 // NewKernel starts building a kernel for device.
@@ -40,8 +42,17 @@ func (k *KernelBuilder) LocalStream(bytes uint64) *KernelBuilder {
 	return k
 }
 
+// open reports whether accesses may still be appended: the builder has no
+// error and has not been launched.
+func (k *KernelBuilder) open() bool {
+	if k.sealed && k.err == nil {
+		k.err = fmt.Errorf("gps: kernel %q modified after launch", k.k.Name)
+	}
+	return k.err == nil
+}
+
 func (k *KernelBuilder) checkRange(b *Buffer, off, bytes uint64) bool {
-	if k.err != nil {
+	if !k.open() {
 		return false
 	}
 	if b == nil {
@@ -62,7 +73,7 @@ func (k *KernelBuilder) Load(b *Buffer, off, bytes uint64) *KernelBuilder {
 		return k
 	}
 	for o := uint64(0); o < bytes; o += lineBytes {
-		k.k.Accesses = append(k.k.Accesses, trace.Access{
+		k.enc.Append(trace.Access{
 			Op: trace.OpLoad, Pattern: trace.PatContiguous,
 			Threads: 32, ElemBytes: 4, Addr: b.base + off + o,
 		})
@@ -76,7 +87,7 @@ func (k *KernelBuilder) Store(b *Buffer, off, bytes uint64) *KernelBuilder {
 		return k
 	}
 	for o := uint64(0); o < bytes; o += lineBytes {
-		k.k.Accesses = append(k.k.Accesses, trace.Access{
+		k.enc.Append(trace.Access{
 			Op: trace.OpStore, Pattern: trace.PatContiguous,
 			Threads: 32, ElemBytes: 4, Addr: b.base + off + o,
 		})
@@ -103,7 +114,7 @@ func (k *KernelBuilder) StoreMultiPass(b *Buffer, off, bytes uint64, passes, blo
 		}
 		for p := 0; p < passes; p++ {
 			for l := start; l < end; l++ {
-				k.k.Accesses = append(k.k.Accesses, trace.Access{
+				k.enc.Append(trace.Access{
 					Op: trace.OpStore, Pattern: trace.PatContiguous,
 					Threads: 32, ElemBytes: 4, Addr: b.base + off + l*lineBytes,
 				})
@@ -135,7 +146,7 @@ func (k *KernelBuilder) scatter(op trace.Op, b *Buffer, off, window uint64, warp
 		return k
 	}
 	for i := 0; i < warps; i++ {
-		k.k.Accesses = append(k.k.Accesses, trace.Access{
+		k.enc.Append(trace.Access{
 			Op: op, Pattern: trace.PatScattered,
 			Threads: 32, ElemBytes: 4,
 			Stride: uint32(windowLines),
@@ -149,7 +160,9 @@ func (k *KernelBuilder) scatter(op trace.Op, b *Buffer, off, window uint64, warp
 // FenceSys issues a sys-scoped memory fence: the GPS write queue flushes
 // and all prior stores become visible system-wide.
 func (k *KernelBuilder) FenceSys() *KernelBuilder {
-	k.k.Accesses = append(k.k.Accesses, trace.Access{Op: trace.OpFence, Scope: trace.ScopeSys})
+	if k.open() {
+		k.enc.Append(trace.Access{Op: trace.OpFence, Scope: trace.ScopeSys})
+	}
 	return k
 }
 
@@ -173,8 +186,12 @@ func (s *System) Launch(kernels ...*KernelBuilder) error {
 			return fmt.Errorf("gps: two kernels on device %d in one phase", kb.k.GPU)
 		}
 		seen[kb.k.GPU] = true
-		if len(kb.k.Accesses) == 0 && kb.k.ComputeOps == 0 {
+		if kb.enc.Len() == 0 && kb.k.NumAccesses() == 0 && kb.k.ComputeOps == 0 {
 			return fmt.Errorf("gps: kernel %q does nothing", kb.k.Name)
+		}
+		if !kb.sealed {
+			kb.k.Col = kb.enc.Finish()
+			kb.sealed = true
 		}
 		ph.Kernels = append(ph.Kernels, kb.k)
 	}
