@@ -7,9 +7,9 @@
 //
 //	gpsctl -addr http://localhost:8377 submit spec.json   # or "-" for stdin
 //	gpsctl submit -wait spec.json                         # block until terminal
-//	gpsctl status n1-j-000001
-//	gpsctl result n1-j-000001
-//	gpsctl cancel n1-j-000001
+//	gpsctl status <id>                                    # id: the spec hash submit printed
+//	gpsctl result <id>
+//	gpsctl cancel <id>
 //	gpsctl health
 //
 // Exit status: 0 on success, 1 on API or transport errors, 2 on usage

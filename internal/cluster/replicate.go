@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
 	"gps/internal/obs"
-	"gps/internal/report"
 	"gps/internal/service"
 )
 
@@ -21,9 +21,11 @@ import (
 // position). The successor keeps a per-origin replica store: submit records
 // add entries, terminal records prune them, so at any moment the store holds
 // exactly the jobs the origin had accepted but not finished. When the probe
-// loop declares the origin permanently dead, the successor promotes those
-// entries via service.Adopt — the jobs re-run under their original IDs, and
-// the ID-prefix proxy fallback routes the dead node's clients here.
+// loop declares the origin permanently dead, the successor submits those
+// entries through its ordinary submit path (service.SubmitTakeover). Job IDs
+// are spec hashes, and Owner sends a dead node's hashes to this same
+// successor, so the dead node's clients reach the taken-over jobs under the
+// IDs they already hold.
 //
 // The stream is synchronous when the successor is healthy: a journal commit
 // does not return until the successor acknowledged the record (bounded by
@@ -34,13 +36,10 @@ import (
 // batches replace the origin's replica state wholesale, which also scrubs
 // any stale entries a lost terminal record left behind.
 //
-// Resurrection is handled by the same machinery in reverse: a node coming
-// back up replays its journal, and for every pending job asks its successor
-// (via service.Config.Reconcile) whether that job was adopted. If so, the
-// job is registered locally as delegated — the stolen-job state machine,
-// with the successor as thief — and a watcher goroutine lands the
-// successor's outcome (or reclaims the job if the successor dies too).
-// Exactly one execution wins; clients polling either node see it.
+// Resurrection needs no handshake of its own: a node coming back up replays
+// its journal, and each replayed job's pre-execution peer lookup
+// (FetchPeerResult) finds the successor's cached report — or waits on the
+// successor still executing it — instead of running the job a second time.
 
 const (
 	// replOutboxCap bounds the buffered outbox while the successor is
@@ -51,12 +50,6 @@ const (
 	// stall at most this long when the successor is slow; once suspicion
 	// marks it dead the stream stops blocking entirely.
 	replFlushTimeout = 3 * time.Second
-	// delegationPollInterval spaces status polls for a job a resurrected
-	// node delegated to its takeover successor.
-	delegationPollInterval = 500 * time.Millisecond
-	// delegationMaxMisses is how many consecutive failed polls the watcher
-	// tolerates before reclaiming the delegated job to run locally.
-	delegationMaxMisses = 6
 )
 
 // ReplRecord is one replicated journal record.
@@ -77,10 +70,11 @@ type ReplBatch struct {
 
 // replicaJob is one not-yet-terminal job replicated from a peer.
 type replicaJob struct {
-	ID      string
+	ID      string // the spec hash
 	Spec    service.Spec
-	Trace   obs.TraceInfo // original trace identity, carried into adoption
+	Trace   obs.TraceInfo // original trace identity, carried into the takeover
 	Started bool
+	seq     uint64 // arrival order, so takeovers run in submit order
 }
 
 // replicaStore holds, per origin node, the jobs that origin had accepted
@@ -88,14 +82,11 @@ type replicaJob struct {
 type replicaStore struct {
 	mu      sync.Mutex
 	origins map[string]map[string]*replicaJob
-	order   map[string][]string // per-origin submit order
+	seq     uint64
 }
 
 func newReplicaStore() *replicaStore {
-	return &replicaStore{
-		origins: map[string]map[string]*replicaJob{},
-		order:   map[string][]string{},
-	}
+	return &replicaStore{origins: map[string]map[string]*replicaJob{}}
 }
 
 // apply folds one batch into the store and reports how many records changed
@@ -105,7 +96,6 @@ func (st *replicaStore) apply(b ReplBatch) int {
 	defer st.mu.Unlock()
 	if b.Reset {
 		st.origins[b.Origin] = map[string]*replicaJob{}
-		st.order[b.Origin] = nil
 	}
 	jobs := st.origins[b.Origin]
 	if jobs == nil {
@@ -122,12 +112,12 @@ func (st *replicaStore) apply(b ReplBatch) int {
 			if _, ok := jobs[r.ID]; ok {
 				continue
 			}
-			rj := &replicaJob{ID: r.ID, Spec: *r.Spec}
+			st.seq++
+			rj := &replicaJob{ID: r.ID, Spec: *r.Spec, seq: st.seq}
 			if r.Trace != nil {
 				rj.Trace = *r.Trace
 			}
 			jobs[r.ID] = rj
-			st.order[b.Origin] = append(st.order[b.Origin], r.ID)
 			applied++
 		case service.OpStart:
 			if j, ok := jobs[r.ID]; ok && !j.Started {
@@ -149,15 +139,14 @@ func (st *replicaStore) snapshot(origin string) []replicaJob {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var out []replicaJob
-	for _, id := range st.order[origin] {
-		if j, ok := st.origins[origin][id]; ok {
-			out = append(out, *j)
-		}
+	for _, j := range st.origins[origin] {
+		out = append(out, *j)
 	}
+	sort.Slice(out, func(i, k int) bool { return out[i].seq < out[k].seq })
 	return out
 }
 
-// remove drops one replica entry (after a successful adoption).
+// remove drops one replica entry (after a successful takeover submit).
 func (st *replicaStore) remove(origin, id string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -361,15 +350,17 @@ func (c *Cluster) ApplyReplicaBatch(b ReplBatch) error {
 	return nil
 }
 
-// checkTakeovers promotes replicated jobs of every dead peer whose ring
+// checkTakeovers submits the replicated jobs of every dead peer whose ring
 // successor — computed over the current liveness set, so every survivor
-// agrees — is this node. Adoption is idempotent (service.Adopt refuses IDs
-// it already knows), so re-running the sweep every probe interval is safe;
-// entries only leave the replica store once Adopt accepted them.
+// agrees — is this node. Sweeps run one at a time and entries leave the
+// replica store once their submit succeeded, so re-running the sweep every
+// probe interval submits each job once.
 func (c *Cluster) checkTakeovers() {
 	if c.local == nil {
 		return
 	}
+	c.takeoverMu.Lock()
+	defer c.takeoverMu.Unlock()
 	for _, p := range c.Peers() {
 		if p.Alive() {
 			continue
@@ -381,158 +372,21 @@ func (c *Cluster) checkTakeovers() {
 		if c.ring.Successor(p.ID, c.live) != c.self {
 			continue
 		}
-		adopted := 0
+		taken := 0
 		for _, rj := range jobs {
 			start := time.Now()
-			out, err := c.local.Adopt(p.ID, rj.ID, rj.Spec, rj.Trace)
-			if err != nil {
-				c.log.Warn("takeover: adopt failed", "origin", p.ID, "job_id", rj.ID, "err", err)
+			if _, _, err := c.local.SubmitTakeover(p.ID, rj.Spec, rj.Trace); err != nil {
+				c.log.Warn("takeover: submit failed", "origin", p.ID, "job_id", rj.ID, "err", err)
 				continue // entry stays; retried next sweep
 			}
 			c.hopAdopt.Observe(time.Since(start).Seconds())
 			c.replicas.remove(p.ID, rj.ID)
-			if out != service.AdoptExists {
-				adopted++
-				c.takeoverJobs.Add(1)
-			}
+			taken++
+			c.takeoverJobs.Add(1)
 		}
-		if adopted > 0 {
+		if taken > 0 {
 			c.takeovers.Add(1)
-			c.log.Warn("takeover: promoted dead peer's replicated jobs",
-				"origin", p.ID, "jobs", adopted, "outcomes", "queued/cached/coalesced")
+			c.log.Warn("takeover: submitted dead peer's replicated jobs", "origin", p.ID, "jobs", taken)
 		}
 	}
-}
-
-// delegation is one journal-replayed job a resurrected node left with its
-// takeover successor instead of re-running.
-type delegation struct {
-	id   string
-	peer string
-}
-
-// Reconcile implements service.Config.Reconcile — the resurrection
-// handshake. Called during journal replay for every pending job: if this
-// node's ring successor already knows the job (it ran a takeover while we
-// were dead), the job is delegated to it instead of re-executed here, and a
-// watcher goroutine mirrors the successor's outcome onto the local job.
-// Returns the successor's node ID to delegate, or "" to replay normally.
-func (c *Cluster) Reconcile(p service.PendingJob) string {
-	succ := c.ring.Successor(c.self, c.live)
-	if succ == "" {
-		return ""
-	}
-	peer, ok := c.Peer(succ)
-	if !ok {
-		return ""
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), replFlushTimeout)
-	code, body, err := peer.client.Do(ctx, http.MethodGet, "/v1/jobs/"+p.ID, nil, nil)
-	cancel()
-	if err != nil || code != http.StatusOK {
-		return "" // successor never heard of it: normal local replay
-	}
-	var st service.Status
-	if jerr := json.Unmarshal(body, &st); jerr != nil {
-		return ""
-	}
-	c.addDelegation(delegation{id: p.ID, peer: succ})
-	c.log.Info("replayed job delegated to takeover successor",
-		"job_id", p.ID, "successor", succ, "successor_state", string(st.State))
-	return succ
-}
-
-// addDelegation starts a watcher for one delegated job, or parks it until
-// Start provides the cluster's run context.
-func (c *Cluster) addDelegation(d delegation) {
-	c.replMu.Lock()
-	ctx := c.runCtx
-	if ctx == nil {
-		c.delegated = append(c.delegated, d)
-		c.replMu.Unlock()
-		return
-	}
-	c.replMu.Unlock()
-	go c.watchDelegation(ctx, d)
-}
-
-// watchDelegation polls the successor executing a delegated job and lands
-// its terminal outcome on the local job (which is registered in the
-// stolen-job state: the successor is the thief). If the successor becomes
-// unreachable, the job is reclaimed and re-queued locally — the steal
-// machinery drops whichever completion loses the race.
-func (c *Cluster) watchDelegation(ctx context.Context, d delegation) {
-	p, ok := c.Peer(d.peer)
-	if !ok {
-		c.local.DeclineStolen(d.id) //nolint:errcheck // reclaim is best-effort
-		return
-	}
-	t := time.NewTicker(delegationPollInterval)
-	defer t.Stop()
-	misses := 0
-	reclaim := func(why string) {
-		c.log.Warn("delegation: reclaiming job to run locally", "job_id", d.id, "successor", d.peer, "reason", why)
-		c.local.DeclineStolen(d.id) //nolint:errcheck // job may have finished meanwhile
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		pctx, cancel := context.WithTimeout(ctx, replFlushTimeout)
-		code, body, err := p.client.Do(pctx, http.MethodGet, "/v1/jobs/"+d.id, nil, nil)
-		cancel()
-		if err != nil || code != http.StatusOK {
-			misses++
-			if misses >= delegationMaxMisses {
-				reclaim("successor unreachable")
-				return
-			}
-			continue
-		}
-		misses = 0
-		var st service.Status
-		if jerr := json.Unmarshal(body, &st); jerr != nil {
-			continue
-		}
-		switch st.State {
-		case service.StateDone:
-			rep := c.fetchResultFrom(ctx, p, st.Hash)
-			if rep == nil {
-				misses++
-				if misses >= delegationMaxMisses {
-					reclaim("result fetch failed")
-					return
-				}
-				continue
-			}
-			c.local.CompleteStolen(d.id, rep, "") //nolint:errcheck // dropped if reclaimed/canceled meanwhile
-			c.log.Info("delegated job completed by successor", "job_id", d.id, "successor", d.peer)
-			return
-		case service.StateFailed:
-			c.local.CompleteStolen(d.id, nil, st.Error) //nolint:errcheck // dropped if reclaimed/canceled meanwhile
-			return
-		case service.StateCanceled:
-			c.local.Cancel(d.id) //nolint:errcheck // mirrors the successor's cancel
-			return
-		}
-	}
-}
-
-// fetchResultFrom pulls one completed spec's report from a specific peer's
-// content-addressed cache (unlike FetchPeerResult, which asks everyone).
-func (c *Cluster) fetchResultFrom(ctx context.Context, p *Peer, hash string) *report.Report {
-	pctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	code, body, err := p.client.Do(pctx, http.MethodGet, "/v1/peer/results/"+hash, nil, nil)
-	if err != nil || code != http.StatusOK {
-		return nil
-	}
-	var rep report.Report
-	if jerr := json.Unmarshal(body, &rep); jerr != nil {
-		c.log.Warn("peer result undecodable", "peer", p.ID, "hash", hash, "err", jerr)
-		return nil
-	}
-	return &rep
 }

@@ -117,8 +117,8 @@ func TestClusterTraceForwardedAndStolenJob(t *testing.T) {
 	blocker := submitVia(t, nodes["a"], specs[0])
 	<-started
 	bait := submitVia(t, nodes["a"], specs[1])
-	if service.JobNode(bait.ID) != "b" {
-		t.Fatalf("bait job %s not owned by b", bait.ID)
+	if bait.NodeID != "b" {
+		t.Fatalf("bait job %s landed on %q, want its owner b", bait.ID, bait.NodeID)
 	}
 
 	// c's probe sees b overloaded (1/1 busy, 1 queued) and steals the bait.
@@ -204,7 +204,7 @@ func TestClusterTraceAdoptedJobKeepsIdentity(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // let b wedge on the first job
 
 	killNode(t, nodes, "b")
-	succ := nodes["a"].clu.TakeoverTarget("b")
+	succ := ownerOf(t, nodes["a"], specs[0])
 	if succ == "" || succ == "b" {
 		t.Fatalf("no takeover target for b: %q", succ)
 	}

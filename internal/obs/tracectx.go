@@ -136,8 +136,8 @@ func nodePid(node string) int {
 
 // StaticSpan is one pre-timed span for WriteStaticTrace: the service uses
 // it to flush a trace for jobs that reached a terminal state without a
-// local execution (stolen by a peer, adopted from a dead node's replica),
-// where no live Tracer ever existed.
+// local execution (executed by a thief after a steal), where no live Tracer
+// ever existed.
 type StaticSpan struct {
 	Cat, Name    string
 	Start, End   time.Time

@@ -33,9 +33,8 @@ func (s State) Terminal() bool {
 // Server's mutex except cellsDone, which workers bump lock-free as matrix
 // cells complete.
 type Job struct {
-	ID    string
-	Hash  string
-	Node  string // owning node ID; empty on a single-node daemon
+	ID    string // the canonical spec hash: one job per spec per node
+	Node  string // node holding this job; empty on a single-node daemon
 	Spec  Spec
 	Trace obs.TraceInfo // distributed trace identity, minted at submit
 
@@ -52,18 +51,25 @@ type Job struct {
 	StartedAt   time.Time
 	FinishedAt  time.Time
 
-	cellsDone  atomic.Uint64
-	attempts   atomic.Uint64           // execution attempts, bumped by the retry loop
-	cancel     context.CancelCauseFunc // non-nil once running locally (nil while stolen)
-	stealTimer *time.Timer             // reclaim watchdog while stolen; guarded by the server mutex
-	done       chan struct{}           // closed on reaching a terminal state
+	cellsDone atomic.Uint64
+	attempts  atomic.Uint64           // execution attempts, bumped by the retry loop
+	cancel    context.CancelCauseFunc // non-nil once running locally (nil while stolen)
+	peerWait  bool                    // its worker is asking peers for the result; guarded by the server mutex
+	done      chan struct{}           // closed on reaching a terminal state
+}
+
+// executesHere reports whether a local worker owes the job's outcome: it is
+// queued, or running on this node's executor — not checked out to a thief
+// and not waiting on a peer. Callers hold the server mutex.
+func (j *Job) executesHere() bool {
+	return j.State == StateQueued || j.State == StateRunning && j.StolenBy == "" && !j.peerWait
 }
 
 // Status is the JSON snapshot the API returns when polling a job.
 type Status struct {
 	ID          string         `json:"id"`
 	Hash        string         `json:"hash"`
-	NodeID      string         `json:"node_id,omitempty"` // node that owns the execution
+	NodeID      string         `json:"node_id,omitempty"` // node holding the job
 	State       State          `json:"state"`
 	Spec        Spec           `json:"spec"`
 	CellsDone   uint64         `json:"cells_done"`
@@ -85,7 +91,7 @@ type Status struct {
 func (j *Job) snapshot(now time.Time) Status {
 	st := Status{
 		ID:          j.ID,
-		Hash:        j.Hash,
+		Hash:        j.ID,
 		NodeID:      j.Node,
 		State:       j.State,
 		Spec:        j.Spec,

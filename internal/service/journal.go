@@ -15,10 +15,11 @@ import (
 
 // The job journal is gpsd's write-ahead log: an append-only file of JSON
 // lines recording every job transition (submit, start, done, fail, cancel),
-// fsynced on commit. On startup the journal is replayed: jobs that were
-// queued or running when the process died are re-enqueued under their
-// original IDs, and terminal entries are pruned by rewriting the file
-// (compaction). A torn final line — the signature of a crash mid-append —
+// fsynced on commit. Records are keyed by job ID, which is the canonical
+// spec hash, so one ID may be submitted again after a terminal record (a
+// failed or canceled spec re-run). On startup the journal is replayed: jobs
+// that were queued or running when the process died are re-enqueued, and
+// terminal entries are pruned by rewriting the file (compaction). A torn final line — the signature of a crash mid-append —
 // is tolerated and dropped.
 //
 // The journal assumes a single daemon per file; there is no inter-process
@@ -139,8 +140,9 @@ func OpenJournal(path string) (*Journal, error) {
 }
 
 // replayJournal folds the journal bytes into the set of still-pending jobs,
-// in submit order. Unparseable lines (torn tail writes) and records for
-// unknown IDs are skipped.
+// in first-submit order. Unparseable lines (torn tail writes) and records
+// for unknown IDs are skipped; a submit after an ID's terminal record starts
+// that ID over.
 func replayJournal(data []byte) []PendingJob {
 	type state struct {
 		spec     Spec
@@ -163,15 +165,18 @@ func replayJournal(data []byte) []PendingJob {
 			if rec.Spec == nil || rec.ID == "" {
 				continue
 			}
-			if _, ok := states[rec.ID]; ok {
-				continue // duplicate submit for one ID: keep the first
+			prev, ok := states[rec.ID]
+			if ok && !prev.terminal {
+				continue // duplicate submit of a live job: keep the first
+			}
+			if !ok {
+				order = append(order, rec.ID)
 			}
 			st := &state{spec: *rec.Spec}
 			if rec.Trace != nil {
 				st.trace = *rec.Trace
 			}
 			states[rec.ID] = st
-			order = append(order, rec.ID)
 		case OpStart:
 			if st, ok := states[rec.ID]; ok {
 				st.started = true

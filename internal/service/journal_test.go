@@ -62,15 +62,78 @@ func TestJournalCrashRecovery(t *testing.T) {
 		t.Errorf("JobsReplayed = %d, want 2", m.JobsReplayed)
 	}
 
-	// The ID sequence resumes past the recovered jobs: no handle collisions
+	// A new spec gets its own handle: IDs are spec hashes, so no collision
 	// with jobs clients are still polling.
 	st, _, err := s2.Submit(sensSpec("watermark"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ID == running.ID || st.ID == queued.ID || st.ID <= queued.ID {
-		t.Errorf("post-recovery job ID %s collides with or precedes replayed IDs (%s, %s)",
+	if st.ID == running.ID || st.ID == queued.ID {
+		t.Errorf("post-recovery job ID %s collides with a replayed ID (%s, %s)",
 			st.ID, running.ID, queued.ID)
+	}
+}
+
+// TestJournalLegacyIDsReplay opens a journal written when job IDs were
+// node-prefixed sequences: one job still pending, one submitted and done.
+// The pending job must come back under its spec hash and run; the finished
+// one is pruned; and once the job is done a further restart owes nothing.
+// A hash-keyed job in the same file that failed and was submitted again is
+// owed too: a submit after a terminal record starts its ID over.
+func TestJournalLegacyIDsReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gpsd.journal")
+	pendingSpec, err := sensSpec("tlb").Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doneSpec, err := sensSpec("pagesize").Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rerunSpec, err := sensSpec("l2").Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rerun := rerunSpec.Hash()
+	lines := `{"op":"submit","id":"n1-j-000001","spec":{"type":"sensitivity","sensitivity":"tlb","iterations":4,"scale":1,"seed":1},"trace":{"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","span_id":"00f067aa0ba902b7"}}
+{"op":"submit","id":"n1-j-000002","spec":{"type":"sensitivity","sensitivity":"pagesize","iterations":4,"scale":1,"seed":1}}
+{"op":"start","id":"n1-j-000002"}
+{"op":"done","id":"n1-j-000002"}
+{"op":"submit","id":"` + rerun + `","spec":{"type":"sensitivity","sensitivity":"l2","iterations":4,"scale":1,"seed":1}}
+{"op":"fail","id":"` + rerun + `","error":"boom"}
+{"op":"submit","id":"` + rerun + `","spec":{"type":"sensitivity","sensitivity":"l2","iterations":4,"scale":1,"seed":1}}
+`
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	exec := newBlockingExec()
+	close(exec.release)
+	j := openTestJournal(t, path)
+	s := New(Config{Workers: 1, QueueDepth: 4, Execute: exec.exec, Journal: j})
+	st := waitTerminal(t, s, pendingSpec.Hash())
+	if st.State != StateDone || !st.Replayed {
+		t.Fatalf("legacy pending job: state %s replayed %v, want a replayed done job", st.State, st.Replayed)
+	}
+	if st.Trace == nil || st.Trace.TraceID != "4bf92f3577b34da6a3ce929d0e0e4736" {
+		t.Errorf("legacy pending job lost its trace identity: %+v", st.Trace)
+	}
+	if st := waitTerminal(t, s, rerun); st.State != StateDone || !st.Replayed {
+		t.Fatalf("resubmitted job: state %s replayed %v, want a replayed done job", st.State, st.Replayed)
+	}
+	for _, id := range []string{"n1-j-000001", "n1-j-000002", doneSpec.Hash()} {
+		if _, err := s.Job(id); err == nil {
+			t.Errorf("job %s registered; only the pending spec's hash should be", id)
+		}
+	}
+	if got := exec.runs.Load(); got != 2 {
+		t.Errorf("executions = %d, want 2 (the finished job must not re-run)", got)
+	}
+	s.Shutdown(context.Background())
+	j.Close()
+
+	if pending := openTestJournal(t, path).TakePending(); len(pending) != 0 {
+		t.Errorf("pending after the replayed job finished = %+v, want none", pending)
 	}
 }
 

@@ -145,8 +145,8 @@ func TestContentAddressedCache(t *testing.T) {
 		t.Fatalf("repeat submit: outcome=%v state=%s cacheHit=%v, want cached/done/true",
 			out2, st2.State, st2.CacheHit)
 	}
-	if st2.ID == st.ID {
-		t.Error("cached submission must get its own job id")
+	if st2.ID != st.ID {
+		t.Errorf("cached submission got job %s, want the done job %s (IDs are spec hashes)", st2.ID, st.ID)
 	}
 	if got := exec.runs.Load(); got != 1 {
 		t.Errorf("executions = %d, want 1 (second served from cache)", got)

@@ -4,15 +4,17 @@
 # Boots a 3-node local cluster on fixed loopback ports, then checks the
 # cluster invariants end to end with curl and gpsctl:
 #
-#   1. a spec submitted through any node lands on its ring owner (job IDs
-#      carry the owner's node prefix) and the same spec submitted through a
-#      second node coalesces onto the same job — the engine runs once;
+#   1. a spec submitted through any node lands on its ring owner (the
+#      submit reply's node_id; the job ID is the spec hash) and the same spec
+#      submitted through a second node coalesces onto the same job — the
+#      engine runs once;
 #   2. the finished report is byte-identical no matter which node serves it
 #      (owner directly, the others by proxy);
 #   3. SIGKILL of an owner mid-job is survivable: the surviving nodes keep
-#      serving, a re-submit of the dead owner's spec re-routes to a live
-#      node, and restarting the owner on its journal replays the orphaned
-#      job to completion under its original ID.
+#      serving, the dead owner's jobs are taken over by its ring successor
+#      under the IDs clients hold, a fresh spec re-routes to a live node, and
+#      restarting the owner on its journal lands the successor's results
+#      without running the jobs again.
 #
 # Needs only a POSIX shell and curl.
 set -eu
@@ -62,6 +64,11 @@ start_node() {
     exit 1
 }
 
+# field <name> <file>: the first "name": "value" string field of a JSON body.
+field() {
+    sed -n "s/.*\"$1\": \"\([^\"]*\)\".*/\1/p" "$2" | head -n 1
+}
+
 base_of() {
     case "$1" in
     n1) echo "http://127.0.0.1:$p1" ;;
@@ -75,7 +82,7 @@ poll_done() {
     state=""
     for _ in $(seq 1 600); do
         curl -s "$1/v1/jobs/$2" >"$workdir/status" || true
-        state=$(sed -n 's/.*"state": "\([^"]*\)".*/\1/p' "$workdir/status" | head -n 1)
+        state=$(field state "$workdir/status")
         case "$state" in done | failed | canceled) break ;; esac
         sleep 0.1
     done
@@ -103,9 +110,9 @@ grep -q '"peers_alive": 2' "$workdir/hz" || { echo "cluster-smoke: expected 2 li
 specA='{"type":"matrix","iterations":2,"cells":[{"app":"jacobi","paradigm":"GPS","gpus":2,"fabric":"pcie4"}]}'
 code=$(curl -s -o "$workdir/subA" -w '%{http_code}' -d "$specA" "$(base_of n1)/v1/jobs")
 [ "$code" = 202 ] || { echo "cluster-smoke: submit A returned $code:"; cat "$workdir/subA"; exit 1; }
-idA=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$workdir/subA" | head -n 1)
-ownerA=${idA%%-j-*}
-[ -n "$idA" ] && [ "$ownerA" != "$idA" ] || { echo "cluster-smoke: job id '$idA' lacks a node prefix"; exit 1; }
+idA=$(field id "$workdir/subA")
+ownerA=$(field node_id "$workdir/subA")
+[ -n "$idA" ] && [ -n "$ownerA" ] || { echo "cluster-smoke: submit reply lacks id or node_id:"; cat "$workdir/subA"; exit 1; }
 echo "cluster-smoke: spec A owned by $ownerA (job $idA, submitted via n1)"
 
 # The same spec through a different node must land on the same job.
@@ -120,7 +127,7 @@ grep -Eq '"outcome": "(coalesced|cached)"' "$workdir/subA2" || {
     cat "$workdir/subA2"
     exit 1
 }
-idA2=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$workdir/subA2" | head -n 1)
+idA2=$(field id "$workdir/subA2")
 [ "$idA2" = "$idA" ] || {
     echo "cluster-smoke: duplicate submit got a different job ($idA2 != $idA)"
     exit 1
@@ -164,10 +171,9 @@ for i in 1 2 3 4 5; do
     specB="{\"type\":\"matrix\",\"iterations\":2,\"seed\":$i,\"cells\":[{\"app\":\"diffusion\",\"paradigm\":\"GPS\",\"gpus\":4,\"fabric\":\"nvswitch\"}]}"
     code=$(curl -s -o "$workdir/subB.$i" -w '%{http_code}' -d "$specB" "$(base_of n1)/v1/jobs")
     [ "$code" = 202 ] || { echo "cluster-smoke: submit B$i returned $code"; cat "$workdir/subB.$i"; exit 1; }
-    ids="$ids $(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$workdir/subB.$i" | head -n 1)"
+    ids="$ids $(field id "$workdir/subB.$i")"
 done
-victim=$(echo "$ids" | awk '{print $1}')
-victim=${victim%%-j-*}
+victim=$(field node_id "$workdir/subB.1")
 echo "cluster-smoke: batch accepted ($ids); killing $victim with SIGKILL, never to return"
 
 eval "opid=\$pid$(echo "$victim" | tr -d n)"
@@ -196,12 +202,14 @@ while :; do
 done
 echo "cluster-smoke: $surv1 declared $victim dead"
 
-# Every accepted job finishes, the dead node's under their ORIGINAL IDs via
-# takeover; their results read byte-identical through both survivors.
+# Every accepted job finishes, the dead node's under the IDs their clients
+# hold via takeover; their results read byte-identical through both
+# survivors.
 promoted=0
-for id in $ids; do
+for i in 1 2 3 4 5; do
+    id=$(field id "$workdir/subB.$i")
     poll_done "$(base_of $surv1)" "$id"
-    if [ "${id%%-j-*}" = "$victim" ]; then
+    if [ "$(field node_id "$workdir/subB.$i")" = "$victim" ]; then
         promoted=$((promoted + 1))
         grep -q "\"adopted_from\": \"$victim\"" "$workdir/status" || {
             echo "cluster-smoke: takeover job $id not marked adopted:"
@@ -242,10 +250,11 @@ grep -h '^gpsd_cluster_takeover_jobs_total' "$workdir/m1" "$workdir/m2" | grep -
 specC='{"type":"matrix","iterations":2,"seed":99,"cells":[{"app":"jacobi","paradigm":"GPS","gpus":2,"fabric":"pcie5"}]}'
 code=$(curl -s -o "$workdir/subC" -w '%{http_code}' -d "$specC" "$(base_of $surv1)/v1/jobs")
 [ "$code" = 202 ] || { echo "cluster-smoke: post-kill submit returned $code"; cat "$workdir/subC"; exit 1; }
-idC=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$workdir/subC" | head -n 1)
-[ "${idC%%-j-*}" != "$victim" ] || { echo "cluster-smoke: fresh spec still routed to dead $victim ($idC)"; exit 1; }
+idC=$(field id "$workdir/subC")
+ownerC=$(field node_id "$workdir/subC")
+[ -n "$ownerC" ] && [ "$ownerC" != "$victim" ] || { echo "cluster-smoke: fresh spec routed to '$ownerC', not a live node ($idC)"; exit 1; }
 poll_done "$(base_of $surv2)" "$idC"
-echo "cluster-smoke: post-kill submit re-routed to ${idC%%-j-*} and completed"
+echo "cluster-smoke: post-kill submit re-routed to $ownerC and completed"
 
 # The operator view agrees: gpsctl cluster on a survivor shows the death
 # and the takeover counters.
@@ -255,12 +264,14 @@ grep -q "takeovers:" "$workdir/ctl.cluster" || { echo "cluster-smoke: gpsctl clu
 
 # --- 4: resurrection — the victim returns and reconciles ------------------
 # The permanent-kill checks are all settled; now bring the victim back on
-# its journal. Its replayed jobs were adopted elsewhere, so the resurrection
-# handshake must land the successor's results without re-running anything:
-# reads through the restarted node converge on the same bytes.
+# its journal. Its replayed jobs were taken over elsewhere, so each one's
+# pre-execution peer lookup must land the successor's result without
+# re-running anything: reads through the restarted node converge on the
+# same bytes.
 start_node "$(echo "$victim" | tr -d n)" "$(base_of "$victim" | sed 's/.*://')"
-for id in $ids; do
-    [ "${id%%-j-*}" = "$victim" ] || continue
+for i in 1 2 3 4 5; do
+    [ "$(field node_id "$workdir/subB.$i")" = "$victim" ] || continue
+    id=$(field id "$workdir/subB.$i")
     poll_done "$(base_of "$victim")" "$id"
     code=$(curl -s -o "$workdir/res.back" -w '%{http_code}' "$(base_of "$victim")/v1/jobs/$id/result")
     [ "$code" = 200 ] || { echo "cluster-smoke: resurrected $victim result for $id returned $code"; exit 1; }

@@ -10,8 +10,8 @@
 #   1. every file is structurally valid (balanced events, nesting);
 #   2. every parent_span_id resolves to a span_id within its trace_id group
 #      across files, and every trace has a root span;
-#   3. at least one trace spans 2+ nodes — the victim's handoff span and the
-#      thief's execution joined by the identity minted at submit.
+#   3. at least one trace spans 2+ nodes — the victim's remote-exec span and
+#      the thief's execution joined by the identity minted at submit.
 #
 # tracelint -cluster -cross is the gate: exit 1 if any linkage is dangling
 # or no trace crossed a node boundary. Needs only a POSIX shell and curl.
@@ -72,7 +72,7 @@ steals_of() {
 }
 
 # poll_done <id>: wait until the job is terminal and assert done (via n1,
-# which proxies or answers locally as ownership dictates).
+# which holds every job of this test and answers for it locally).
 poll_done() {
     state=""
     for _ in $(seq 1 600); do
@@ -113,7 +113,7 @@ while :; do
 done
 echo "trace-cluster-smoke: $stolen job(s) stolen across $round round(s); all jobs done"
 
-# Give the asynchronous trace writers (the victim's handoff flush, the
+# Give the asynchronous trace writers (the victim's remote-exec flush, the
 # thieves' tracer close) a beat to land their files.
 sleep 1
 
