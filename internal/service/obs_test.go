@@ -39,7 +39,7 @@ func TestJobTraceFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := os.ReadFile(filepath.Join(dir, st.ID+".trace.json"))
+	data, err := os.ReadFile(filepath.Join(dir, st.ID+"-"+st.Trace.SpanID+".trace.json"))
 	if err != nil {
 		t.Fatalf("trace file missing: %v", err)
 	}
