@@ -106,8 +106,9 @@ benchgate:
 	$(GO) run ./cmd/gpsbench -all -parallel 1 -json /tmp/gpsbench-gate.json
 	$(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE) -v /tmp/gpsbench-gate.json
 
-## chaos: the resilience gate — fault-injected suites under -race, a fuzz
-## pass over the trace decoder, and the SIGKILL crash-recovery smoke.
+## chaos: the resilience gate — fault-injected suites under -race, fuzz
+## passes over the trace decoder and over the GPS model against the
+## functional simulator, and the SIGKILL crash-recovery smoke.
 chaos:
 	$(GO) test -race ./internal/faultinject/ ./internal/retry/
 	$(GO) test -race -run 'Panic|Injected|CellError|Deterministic' ./internal/experiments/
@@ -115,4 +116,5 @@ chaos:
 	$(GO) test -race -run 'ZeroCell|Oversized|JournalFailure' ./internal/httpapi/
 	$(GO) test -fuzz=FuzzDecodeTrace -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzColumnBlock -fuzztime=10s ./internal/trace/
+	$(GO) test -fuzz=FuzzGPSModelMatchesFuncsim -fuzztime=10s ./internal/funcsim/
 	sh scripts/chaos_smoke.sh

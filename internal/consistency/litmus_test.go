@@ -274,9 +274,9 @@ func TestLitmusWRCWithoutTransitivity(t *testing.T) {
 	}
 }
 
-// Weak atomics never coalesce: two atomics to the same line occupy distinct
-// queue entries, so a consumer can observe the intermediate RMW value even
-// after later atomics were issued — unlike coalesced weak stores.
+// Weak atomics never coalesce: each atomic passes through the write queue
+// as its own message, so a consumer can observe the intermediate RMW value
+// even after later atomics were issued — unlike coalesced weak stores.
 func TestLitmusAtomicsDoNotCoalesce(t *testing.T) {
 	ex := NewExplorer(2, []Thread{
 		{GPU: 0, Ops: []Op{
@@ -303,6 +303,33 @@ func TestLitmusAtomicsDoNotCoalesce(t *testing.T) {
 		return l["t1:r0"] > 2 || l["t1:r1"] > 2
 	}) {
 		t.Fatal("impossible value observed")
+	}
+}
+
+// An atomic must not overtake an older queued store to its own line. GPU0
+// stores x=1, atomically adds 1 (x=2 locally), fences and raises a sys flag.
+// An observer that sees the flag must read 2: reading 1 would mean the
+// store's block drained after the atomic and overwrote its result.
+func TestLitmusAtomicStaysBehindQueuedStore(t *testing.T) {
+	ex := NewExplorer(2, []Thread{
+		{GPU: 0, Ops: []Op{
+			{Kind: OpStoreWeak, Addr: x, Val: 1},
+			{Kind: OpAtomicAdd, Addr: x, Val: 1},
+			{Kind: OpFenceSys},
+			{Kind: OpStoreSys, Addr: flag, Val: 1},
+		}},
+		{GPU: 1, Ops: []Op{{Kind: OpLoad, Addr: flag}, {Kind: OpLoad, Addr: x}}},
+	})
+	outcomes := ex.Explore()
+	if Contains(outcomes, func(l map[string]int) bool {
+		return l["t1:r0"] == 1 && l["t1:r1"] != 2
+	}) {
+		t.Fatal("atomic result lost behind an older same-line store after the fence")
+	}
+	if !Contains(outcomes, func(l map[string]int) bool {
+		return l["t1:r0"] == 1 && l["t1:r1"] == 2
+	}) {
+		t.Fatal("fenced atomic result should be observable")
 	}
 }
 

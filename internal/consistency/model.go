@@ -6,11 +6,15 @@
 // The model captures exactly the mechanisms GPS exploits:
 //
 //   - Weak stores update the issuing GPU's local replica immediately (read
-//     your own writes through the local L2 ordering point) and enter a
-//     per-GPU write queue where stores to the same cache line coalesce.
+//     your own writes through the local L2 ordering point) and enter the
+//     GPU's remote write queue, where stores to the same cache line
+//     coalesce. The queue is core.WriteQueue, the one behind every figure;
+//     the explorer keeps only the word values of each queued line.
 //   - Queue entries drain at nondeterministic times; each drained line
 //     fans out as one message per remote replica over per-(src,dst) FIFO
 //     channels (point-to-point ordering).
+//   - Weak atomics never coalesce: each passes through the queue at once,
+//     after the queue drains any older block for the same line.
 //   - A sys-scoped fence flushes the queue and completes only after all of
 //     the GPU's in-flight messages deliver, making prior writes globally
 //     visible.
@@ -26,9 +30,21 @@ package consistency
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
+
+	"gps/internal/core"
+	"gps/internal/memsys"
 )
+
+// lineBytes maps toy lines onto the write queue's geometry. The queue sees
+// only lines; word offsets stay in the explorer's pending values.
+const lineBytes = 128
+
+var lineGeom = memsys.MustGeometry(64<<10, lineBytes, 49, 47)
+
+func vaddr(a Addr) memsys.VAddr { return memsys.VAddr(a.Line * lineBytes) }
 
 // Addr is a memory address in the litmus program's toy address space. Two
 // addresses share a cache line iff they have the same Line value.
@@ -48,8 +64,9 @@ const (
 	OpFenceSys                // sys-scoped fence: flush + await delivery
 	// OpAtomicAdd is a weak-scoped atomic RMW: it reads and updates the
 	// local replica atomically, then replicates like a store — but the GPS
-	// write queue never coalesces it (each atomic is its own queue entry).
-	// Concurrent weak atomics from different GPUs to one address are racy.
+	// write queue never coalesces it: it passes straight through, behind
+	// any older queued store to its line. Concurrent weak atomics from
+	// different GPUs to one address are racy.
 	OpAtomicAdd
 )
 
@@ -70,31 +87,30 @@ type Thread struct {
 // order) position. Key formats as "t0:r0=1 t1:r0=0".
 type Outcome string
 
-// msg is one cache line's worth of replicated data in flight.
+// msg is one cache line's worth of replicated data, queued or in flight.
 type msg struct {
-	line   int
-	vals   map[int]int // off -> value
-	seq    int         // issue sequence from the source, for ordering checks
-	atomic bool        // pass-through entry: never coalesced into
+	line int
+	vals map[int]int // off -> value; shared between states, never mutated
 }
 
 // state is one configuration of the exploration.
 type state struct {
-	pcs      []int            // per-thread program counter
-	replicas []map[Addr]int   // per-GPU memory
-	queues   [][]msg          // per-GPU write queue (coalescing buffer)
-	chans    map[[2]int][]msg // (src,dst) -> FIFO in flight
-	loads    [][]int          // per-thread load results so far
-	blocked  []bool           // thread waiting on fence completion
+	pcs      []int                 // per-thread program counter
+	replicas []map[Addr]int        // per-GPU memory
+	queues   []*core.WriteQueue    // per-GPU remote write queue
+	pending  []map[int]map[int]int // per GPU: queued line -> off -> value
+	atomic   map[int]int           // words of the atomic passing through
+	chans    map[[2]int][]msg      // (src,dst) -> FIFO in flight
+	loads    [][]int               // per-thread load results so far
 }
 
 // Explorer enumerates all behaviors of a litmus program.
 type Explorer struct {
-	numGPUs int
-	threads []Thread
-	seen    map[string]bool
-	results map[Outcome]bool
-	seq     int
+	numGPUs  int
+	threads  []Thread
+	capacity int // write queue size: above the op count, so only the explorer drains
+	seen     map[string]bool
+	results  map[Outcome]bool
 }
 
 // NewExplorer builds an explorer over the given threads for a system of
@@ -106,28 +122,35 @@ func NewExplorer(numGPUs int, threads []Thread) *Explorer {
 			panic(fmt.Sprintf("consistency: thread on GPU %d outside system of %d", th.GPU, numGPUs))
 		}
 	}
-	return &Explorer{numGPUs: numGPUs, threads: threads}
+	capacity := 1
+	for _, th := range threads {
+		capacity += len(th.Ops)
+	}
+	return &Explorer{numGPUs: numGPUs, threads: threads, capacity: capacity}
 }
 
 // Explore runs the exhaustive search and returns every observable outcome.
 func (e *Explorer) Explore() map[Outcome]bool {
 	e.seen = map[string]bool{}
 	e.results = map[Outcome]bool{}
-	init := state{
+	init := &state{
 		pcs:      make([]int, len(e.threads)),
 		replicas: make([]map[Addr]int, e.numGPUs),
-		queues:   make([][]msg, e.numGPUs),
+		queues:   make([]*core.WriteQueue, e.numGPUs),
+		pending:  make([]map[int]map[int]int, e.numGPUs),
 		chans:    map[[2]int][]msg{},
 		loads:    make([][]int, len(e.threads)),
 	}
 	for g := 0; g < e.numGPUs; g++ {
 		init.replicas[g] = map[Addr]int{}
+		init.pending[g] = map[int]map[int]int{}
+		init.queues[g] = core.NewWriteQueue(g, lineGeom, e.capacity, e.capacity, init.drained)
 	}
 	e.walk(init)
 	return e.results
 }
 
-func (e *Explorer) walk(s state) {
+func (e *Explorer) walk(s *state) {
 	key := s.key()
 	if e.seen[key] {
 		return
@@ -144,9 +167,11 @@ func (e *Explorer) walk(s state) {
 		}
 	}
 	// Queue drains (nondeterministic watermark/idle drain of the oldest entry).
-	for g := 0; g < e.numGPUs; g++ {
-		if len(s.queues[g]) > 0 {
-			e.walk(e.drainOne(s, g))
+	for g, q := range s.queues {
+		if q.Len() > 0 {
+			ns := s.clone()
+			ns.queues[g].DrainOldest()
+			e.walk(ns)
 		}
 	}
 	// Message deliveries (FIFO per channel).
@@ -161,7 +186,7 @@ func (e *Explorer) walk(s state) {
 	}
 }
 
-func (e *Explorer) anyRunnable(s state) bool {
+func (e *Explorer) anyRunnable(s *state) bool {
 	for ti := range e.threads {
 		if s.pcs[ti] < len(e.threads[ti].Ops) {
 			return true
@@ -170,9 +195,9 @@ func (e *Explorer) anyRunnable(s state) bool {
 	return false
 }
 
-func (e *Explorer) systemQuiescent(s state) bool {
-	for g := 0; g < e.numGPUs; g++ {
-		if len(s.queues[g]) > 0 {
+func (e *Explorer) systemQuiescent(s *state) bool {
+	for _, q := range s.queues {
+		if q.Len() > 0 {
 			return false
 		}
 	}
@@ -186,7 +211,7 @@ func (e *Explorer) systemQuiescent(s state) bool {
 
 // stepThread attempts to execute the next op of thread ti; ok=false when the
 // thread is blocked on a fence that cannot yet complete.
-func (e *Explorer) stepThread(s state, ti int) (state, bool) {
+func (e *Explorer) stepThread(s *state, ti int) (*state, bool) {
 	th := e.threads[ti]
 	op := th.Ops[s.pcs[ti]]
 	g := th.GPU
@@ -194,7 +219,7 @@ func (e *Explorer) stepThread(s state, ti int) (state, bool) {
 	case OpStoreWeak:
 		ns := s.clone()
 		ns.replicas[g][op.Addr] = op.Val // local replica updated on the store path
-		ns.enqueue(g, op, e.nextSeq())
+		ns.stage(g, op.Addr, op.Val)
 		ns.pcs[ti]++
 		return ns, true
 	case OpLoad:
@@ -226,22 +251,19 @@ func (e *Explorer) stepThread(s state, ti int) (state, bool) {
 		ns := s.clone()
 		nv := ns.replicas[g][op.Addr] + op.Val
 		ns.replicas[g][op.Addr] = nv
-		ns.enqueueAtomic(g, op.Addr, nv, e.nextSeq())
+		ns.atomic = map[int]int{op.Addr.Off: nv}
+		ns.queues[g].PushAtomic(vaddr(op.Addr))
+		ns.atomic = nil
 		ns.pcs[ti]++
 		return ns, true
 	}
 	panic("consistency: unknown op")
 }
 
-func (e *Explorer) nextSeq() int {
-	e.seq++
-	return e.seq
-}
-
 // fenceComplete reports whether GPU g has no pending writes in its queue or
 // any outgoing channel.
 func (s *state) fenceComplete(g int) bool {
-	if len(s.queues[g]) > 0 {
+	if s.queues[g].Len() > 0 {
 		return false
 	}
 	for ch, fifo := range s.chans {
@@ -252,82 +274,62 @@ func (s *state) fenceComplete(g int) bool {
 	return true
 }
 
-// enqueue coalesces a weak store into GPU g's write queue. A store may only
-// merge into the *latest* entry for its line, and never into an atomic
-// pass-through entry — both rules preserve same-address ordering.
-func (s *state) enqueue(g int, op Op, seq int) {
-	for i := len(s.queues[g]) - 1; i >= 0; i-- {
-		e := s.queues[g][i]
-		if e.line != op.Addr.Line {
-			continue
-		}
-		if e.atomic {
-			break // an atomic to this line is newer: do not reorder around it
-		}
-		nv := map[int]int{}
-		for k, v := range e.vals {
-			nv[k] = v
-		}
-		nv[op.Addr.Off] = op.Val
-		s.queues[g][i] = msg{line: op.Addr.Line, vals: nv, seq: seq}
-		return
+// stage records a weak store's word for its line and offers the store to
+// GPU g's write queue, which decides whether it coalesces. Word maps are
+// copied on write, so cloned states can share them.
+func (s *state) stage(g int, a Addr, v int) {
+	words := maps.Clone(s.pending[g][a.Line])
+	if words == nil {
+		words = map[int]int{}
 	}
-	s.queues[g] = append(s.queues[g], msg{line: op.Addr.Line, vals: map[int]int{op.Addr.Off: op.Val}, seq: seq})
+	words[a.Off] = v
+	s.pending[g][a.Line] = words
+	s.queues[g].PushStore(vaddr(a))
 }
 
-// enqueueAtomic appends a non-coalescable entry carrying the RMW result.
-func (s *state) enqueueAtomic(g int, addr Addr, val, seq int) {
-	s.queues[g] = append(s.queues[g], msg{
-		line: addr.Line, vals: map[int]int{addr.Off: val}, seq: seq, atomic: true,
-	})
-}
-
-// drainOne pops the least recently added queue entry of GPU g and fans it
-// out to every remote replica's channel.
-func (e *Explorer) drainOne(s state, g int) state {
-	ns := s.clone()
-	m := ns.queues[g][0]
-	ns.queues[g] = append([]msg{}, ns.queues[g][1:]...)
-	for dst := 0; dst < e.numGPUs; dst++ {
-		if dst == g {
-			continue
-		}
-		ch := [2]int{g, dst}
-		ns.chans[ch] = append(append([]msg{}, ns.chans[ch]...), m)
+// drained is the write queues' sink: it fans a drained line, or an atomic
+// passing through, out to every remote replica's channel.
+func (s *state) drained(d core.Drained) {
+	line := int(d.LineVA / lineBytes)
+	vals := s.atomic
+	if !d.Atomic {
+		vals = s.pending[d.SrcGPU][line]
+		delete(s.pending[d.SrcGPU], line)
 	}
-	return ns
+	for dst := range s.replicas {
+		if dst != d.SrcGPU {
+			ch := [2]int{d.SrcGPU, dst}
+			s.chans[ch] = append(s.chans[ch], msg{line: line, vals: vals})
+		}
+	}
 }
 
 // deliverOne applies the head message of a channel to the destination
 // replica.
-func (e *Explorer) deliverOne(s state, ch [2]int) state {
+func (e *Explorer) deliverOne(s *state, ch [2]int) *state {
 	ns := s.clone()
 	fifo := ns.chans[ch]
 	m := fifo[0]
-	ns.chans[ch] = append([]msg{}, fifo[1:]...)
+	ns.chans[ch] = fifo[1:]
 	for off, v := range m.vals {
 		ns.replicas[ch[1]][Addr{Line: m.line, Off: off}] = v
 	}
 	return ns
 }
 
-func (s *state) clone() state {
-	ns := state{
+func (s *state) clone() *state {
+	ns := &state{
 		pcs:      append([]int{}, s.pcs...),
 		replicas: make([]map[Addr]int, len(s.replicas)),
-		queues:   make([][]msg, len(s.queues)),
+		queues:   make([]*core.WriteQueue, len(s.queues)),
+		pending:  make([]map[int]map[int]int, len(s.pending)),
 		chans:    map[[2]int][]msg{},
 		loads:    make([][]int, len(s.loads)),
 	}
 	for g, r := range s.replicas {
-		nr := make(map[Addr]int, len(r))
-		for k, v := range r {
-			nr[k] = v
-		}
-		ns.replicas[g] = nr
-	}
-	for g, q := range s.queues {
-		ns.queues[g] = append([]msg{}, q...)
+		ns.replicas[g] = maps.Clone(r)
+		ns.queues[g] = s.queues[g].Clone(ns.drained)
+		ns.pending[g] = maps.Clone(s.pending[g])
 	}
 	for ch, fifo := range s.chans {
 		ns.chans[ch] = append([]msg{}, fifo...)
@@ -360,9 +362,10 @@ func (s *state) key() string {
 	}
 	for g, q := range s.queues {
 		fmt.Fprintf(&b, "q%d[", g)
-		for _, m := range q {
-			b.WriteString(fmtMsg(m))
-		}
+		q.Resident(func(va memsys.VAddr) {
+			line := int(va / lineBytes)
+			b.WriteString(fmtMsg(msg{line: line, vals: s.pending[g][line]}))
+		})
 		b.WriteString("]")
 	}
 	chKeys := make([][2]int, 0, len(s.chans))
@@ -396,11 +399,7 @@ func fmtMsg(m msg) string {
 	}
 	sort.Ints(offs)
 	var b strings.Builder
-	if m.atomic {
-		fmt.Fprintf(&b, "(a%d:", m.line)
-	} else {
-		fmt.Fprintf(&b, "(%d:", m.line)
-	}
+	fmt.Fprintf(&b, "(%d:", m.line)
 	for _, o := range offs {
 		fmt.Fprintf(&b, "%d=%d,", o, m.vals[o])
 	}

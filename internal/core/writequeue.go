@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"gps/internal/memsys"
 )
@@ -23,7 +24,8 @@ const (
 	// recently added entry was pushed out to make room.
 	DrainWatermark DrainReason = iota
 	// DrainFlush: a sys-scoped synchronization (fence or implicit grid-end
-	// release) forced the whole queue out.
+	// release) forced the whole queue out, or an atomic to a resident line
+	// forced out every block up to and including that line's.
 	DrainFlush
 	// DrainPassThrough: the operation is not coalescable (an atomic) and
 	// moved straight through the queue.
@@ -261,11 +263,20 @@ func (q *WriteQueue) PushStore(va memsys.VAddr) (coalesced bool) {
 
 // PushAtomic offers an atomic RMW. The GPS write queue does not support
 // coalescing atomics (Section 7.4), so the operation passes straight through
-// to the drain sink.
+// to the drain sink. Same-address order still holds: when the atomic's line
+// is resident, the queue first drains FIFO up to and including that block,
+// so no remote replica ends on the older store's value.
 func (q *WriteQueue) PushAtomic(va memsys.VAddr) {
+	line := q.geom.LineBase(va)
 	q.stats.Atomics++
+	if q.tail != q.head && q.Contains(line) {
+		for q.ring[q.head&q.ringMask].lineVA != line {
+			q.drainOldest(DrainFlush)
+		}
+		q.drainOldest(DrainFlush)
+	}
 	q.drain(Drained{
-		LineVA: q.geom.LineBase(va),
+		LineVA: line,
 		Writes: 1,
 		Reason: DrainPassThrough,
 		SrcGPU: q.gpu,
@@ -283,10 +294,38 @@ func (q *WriteQueue) Flush() {
 	}
 }
 
-func (q *WriteQueue) drainOldest(reason DrainReason) {
+// DrainOldest drains the least recently added block, as a watermark drain
+// would, and reports whether one was resident. Callers that model drain
+// timing themselves (the litmus explorer, the functional simulator) pick
+// the moments.
+func (q *WriteQueue) DrainOldest() bool {
 	if q.tail == q.head {
-		panic("core: drainOldest on empty queue")
+		return false
 	}
+	q.drainOldest(DrainWatermark)
+	return true
+}
+
+// Resident calls fn with each resident block's line address, oldest first.
+func (q *WriteQueue) Resident(fn func(line memsys.VAddr)) {
+	for pos := q.head; pos != q.tail; pos++ {
+		fn(q.ring[pos&q.ringMask].lineVA)
+	}
+}
+
+// Clone returns an independent copy of the queue (contents, index and
+// counters) whose blocks drain into drain.
+func (q *WriteQueue) Clone(drain func(Drained)) *WriteQueue {
+	c := *q
+	c.ring = slices.Clone(q.ring)
+	c.idxKeys = slices.Clone(q.idxKeys)
+	c.idxSlots = slices.Clone(q.idxSlots)
+	c.idxState = slices.Clone(q.idxState)
+	c.drain = drain
+	return &c
+}
+
+func (q *WriteQueue) drainOldest(reason DrainReason) {
 	e := q.ring[q.head&q.ringMask]
 	q.head++
 	q.idxDelete(e.lineVA)

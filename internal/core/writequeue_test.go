@@ -137,6 +137,74 @@ func TestWriteQueueAtomicsPassThrough(t *testing.T) {
 	}
 }
 
+// Same-address order: an atomic to a resident line must not overtake the
+// older store block for that line, or a remote replica would end on the
+// store's stale value. The queue drains FIFO up to and including the block,
+// then passes the atomic through; younger blocks stay resident.
+func TestWriteQueueAtomicDrainsOlderSameLineStoreFirst(t *testing.T) {
+	var drained []Drained
+	q := NewWriteQueue(0, testGeom(), 8, 7, collectDrains(&drained))
+	q.PushStore(0)
+	q.PushStore(128)
+	q.PushStore(256)
+	q.PushAtomic(128 + 8)
+	want := []Drained{
+		{LineVA: 0, Writes: 1, Reason: DrainFlush},
+		{LineVA: 128, Writes: 1, Reason: DrainFlush},
+		{LineVA: 128, Writes: 1, Reason: DrainPassThrough, Atomic: true},
+	}
+	if len(drained) != len(want) {
+		t.Fatalf("drained = %+v, want %+v", drained, want)
+	}
+	for i := range want {
+		if drained[i] != want[i] {
+			t.Fatalf("drain %d = %+v, want %+v", i, drained[i], want[i])
+		}
+	}
+	if q.Len() != 1 || !q.Contains(256) {
+		t.Fatalf("younger block must stay resident, Len = %d", q.Len())
+	}
+}
+
+func TestWriteQueueDrainOldestAndResident(t *testing.T) {
+	var drained []Drained
+	q := NewWriteQueue(0, testGeom(), 8, 7, collectDrains(&drained))
+	for _, va := range []memsys.VAddr{256, 0, 128, 8} {
+		q.PushStore(va)
+	}
+	var lines []memsys.VAddr
+	q.Resident(func(l memsys.VAddr) { lines = append(lines, l) })
+	if len(lines) != 3 || lines[0] != 256 || lines[1] != 0 || lines[2] != 128 {
+		t.Fatalf("resident = %v, want FIFO [256 0 128]", lines)
+	}
+	if !q.DrainOldest() || drained[0].LineVA != 256 || drained[0].Reason != DrainWatermark {
+		t.Fatalf("DrainOldest drained %+v, want line 256 as a watermark drain", drained)
+	}
+	q.Flush()
+	if q.DrainOldest() {
+		t.Fatal("DrainOldest on an empty queue reported work")
+	}
+}
+
+func TestWriteQueueCloneIsIndependent(t *testing.T) {
+	var orig, copied []Drained
+	q := NewWriteQueue(0, testGeom(), 8, 7, collectDrains(&orig))
+	q.PushStore(0)
+	q.PushStore(128)
+	c := q.Clone(collectDrains(&copied))
+	c.PushStore(256)
+	if !c.PushStore(8) {
+		t.Fatal("clone lost the resident index")
+	}
+	c.Flush()
+	if q.Len() != 2 || q.Contains(256) || len(orig) != 0 {
+		t.Fatalf("clone mutated the original: Len = %d, drains = %v", q.Len(), orig)
+	}
+	if len(copied) != 3 || copied[0].Writes != 2 {
+		t.Fatalf("clone drained %+v, want 3 blocks, the first with 2 writes", copied)
+	}
+}
+
 func TestWriteQueueHitRateIncludesAtomicsInDenominator(t *testing.T) {
 	var drained []Drained
 	q := NewWriteQueue(0, testGeom(), 8, 7, collectDrains(&drained))

@@ -1,9 +1,10 @@
 // Package funcsim is the functional (value-accurate) companion to the
 // timing simulator: a multi-GPU memory with real data in it, implementing
 // GPS semantics operationally — per-subscriber replicas, local loads,
-// stores coalesced per cache line in a per-GPU publish queue, in-order
-// delivery to every subscriber, and full drains at barriers (the implicit
-// sys-scoped release at the end of every grid).
+// stores coalesced per cache line in each GPU's core.WriteQueue (the same
+// queue the GPS timing model drains), in-order delivery to every
+// subscriber, and full drains at barriers (the implicit sys-scoped release
+// at the end of every grid).
 //
 // Its purpose is end-to-end validation of the paper's correctness argument
 // (Sections 3.2-3.3): a data-parallel program that synchronizes its
@@ -18,43 +19,33 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+
+	"gps/internal/core"
+	"gps/internal/gpuconf"
+	"gps/internal/memsys"
 )
 
 // Word is the access granularity: 8-byte aligned float64 values.
 const wordBytes = 8
 
-// Machine is an n-GPU memory with GPS publish-subscribe semantics.
+// Machine is an n-GPU memory with GPS publish-subscribe semantics. Each GPU
+// publishes through a core.WriteQueue, the queue behind every figure; the
+// machine keeps only the word values of each queued line.
 type Machine struct {
-	n            int
-	pageBytes    uint64
-	lineBytes    uint64
-	wordsPerLine int
+	n    int
+	geom memsys.Geometry
 
-	replicas []map[uint64]float64 // per GPU: word address -> value
-	queues   []*publishQueue      // per GPU
-	subs     map[uint64]uint64    // page -> subscriber bitmask
-	defSubs  uint64               // default: all GPUs
+	replicas []map[uint64]float64            // per GPU: word address -> value
+	queues   []*core.WriteQueue              // per GPU
+	pending  []map[uint64]map[uint64]float64 // per GPU: queued line -> word address -> value
+	subs     map[uint64]uint64               // page -> subscriber bitmask
+	defSubs  uint64                          // default: all GPUs
 
-	// Delivered counts lines delivered to remote replicas (traffic proxy).
-	Delivered uint64
-}
-
-// pendingLine is the coalescing buffer for one queued cache line: a dense
-// word-value vector plus a bitmap of which words the GPU actually wrote.
-// Delivery walks the set bits in ascending word order, replacing the old
-// per-line hash map on the store hot path.
-type pendingLine struct {
-	mask []uint64  // bitmap over word slots
-	vals []float64 // indexed by word offset within the line
-}
-
-// publishQueue coalesces pending line writes in insertion order.
-type publishQueue struct {
-	order []uint64                // line addresses, least recently added first
-	lines map[uint64]*pendingLine // resident lines
-	free  []*pendingLine          // drained buffers, recycled by the next store
-	last  uint64                  // most recently stored-to line...
-	lastP *pendingLine            // ...and its buffer (consecutive-store cache)
+	// Delivered[src][dst] counts lines src published to dst's replica.
+	Delivered [][]uint64
+	// Forwarded counts non-subscriber loads that found their line in the
+	// loader's own write queue (Section 5.1).
+	Forwarded uint64
 }
 
 // NewMachine builds a machine with all GPUs subscribed to every page.
@@ -62,41 +53,26 @@ func NewMachine(n int, pageBytes, lineBytes uint64) (*Machine, error) {
 	if n < 1 || n > 64 {
 		return nil, fmt.Errorf("funcsim: %d GPUs out of range", n)
 	}
-	if lineBytes == 0 || lineBytes&(lineBytes-1) != 0 || pageBytes%lineBytes != 0 {
-		return nil, fmt.Errorf("funcsim: invalid geometry page=%d line=%d", pageBytes, lineBytes)
-	}
-	wpl := int(lineBytes / wordBytes)
-	if wpl == 0 {
-		wpl = 1 // sub-word lines degenerate to one word per line
+	geom, err := memsys.NewGeometry(pageBytes, lineBytes, 64, 64)
+	if err != nil {
+		return nil, fmt.Errorf("funcsim: %w", err)
 	}
 	m := &Machine{
-		n:            n,
-		pageBytes:    pageBytes,
-		lineBytes:    lineBytes,
-		wordsPerLine: wpl,
-		subs:         map[uint64]uint64{},
-		defSubs:      allMask(n),
+		n:       n,
+		geom:    geom,
+		subs:    map[uint64]uint64{},
+		defSubs: allMask(n),
 	}
+	// The paper's queue capacity (Table 1), draining at capacity-1 like the
+	// GPS timing model's queue.
+	entries := gpuconf.DefaultGPS().WriteQueueEntries
 	for g := 0; g < n; g++ {
 		m.replicas = append(m.replicas, map[uint64]float64{})
-		m.queues = append(m.queues, &publishQueue{lines: map[uint64]*pendingLine{}})
+		m.pending = append(m.pending, map[uint64]map[uint64]float64{})
+		m.queues = append(m.queues, core.NewWriteQueue(g, geom, entries, entries-1, m.deliver))
+		m.Delivered = append(m.Delivered, make([]uint64, n))
 	}
 	return m, nil
-}
-
-// get returns a cleared pendingLine, recycling a drained buffer when one is
-// available.
-func (q *publishQueue) get(words int) *pendingLine {
-	if n := len(q.free); n > 0 {
-		p := q.free[n-1]
-		q.free = q.free[:n-1]
-		clear(p.mask)
-		return p
-	}
-	return &pendingLine{
-		mask: make([]uint64, (words+63)/64),
-		vals: make([]float64, words),
-	}
 }
 
 func allMask(n int) uint64 {
@@ -107,7 +83,9 @@ func allMask(n int) uint64 {
 }
 
 // SetSubscribers pins the subscriber set for every page overlapping
-// [base, base+size).
+// [base, base+size). Subscriptions change at barriers (Section 3.2), so no
+// queue may hold lines; each newly added subscriber's replica is populated
+// from an existing subscriber.
 func (m *Machine) SetSubscribers(base, size uint64, gpus ...int) error {
 	if len(gpus) == 0 {
 		return fmt.Errorf("funcsim: empty subscriber set")
@@ -119,14 +97,38 @@ func (m *Machine) SetSubscribers(base, size uint64, gpus ...int) error {
 		}
 		mask |= 1 << g
 	}
-	for p := base / m.pageBytes; p <= (base+size-1)/m.pageBytes; p++ {
+	for g, q := range m.queues {
+		if q.Len() > 0 {
+			return fmt.Errorf("funcsim: GPU %d still queues %d lines; subscriptions change at barriers", g, q.Len())
+		}
+	}
+	pb := m.geom.PageBytes
+	for p := base / pb; p <= (base+size-1)/pb; p++ {
+		old := m.subscribers(p * pb)
 		m.subs[p] = mask
+		added := mask &^ old
+		if added == 0 {
+			continue
+		}
+		host := m.replicas[bits.TrailingZeros64(old)]
+		for a := p * pb; a < (p+1)*pb; a += wordBytes {
+			v, ok := host[a]
+			for g := range m.replicas {
+				switch {
+				case added&(1<<g) == 0:
+				case ok:
+					m.replicas[g][a] = v
+				default:
+					delete(m.replicas[g], a)
+				}
+			}
+		}
 	}
 	return nil
 }
 
 func (m *Machine) subscribers(addr uint64) uint64 {
-	if mask, ok := m.subs[addr/m.pageBytes]; ok {
+	if mask, ok := m.subs[addr/m.geom.PageBytes]; ok {
 		return mask
 	}
 	return m.defSubs
@@ -142,105 +144,78 @@ func checkAligned(addr uint64) {
 	}
 }
 
+// Queue returns gpu's remote write queue, for drains at chosen moments
+// (DrainOldest) and sys-scoped fences (Flush).
+func (m *Machine) Queue(gpu int) *core.WriteQueue { return m.queues[gpu] }
+
 // Store performs a weak store by gpu: the local replica (if subscribed)
 // updates immediately — a GPU always reads its own writes — and the line
-// enters the publish queue for eventual replication to remote subscribers.
+// enters the write queue for eventual replication to remote subscribers.
 func (m *Machine) Store(gpu int, addr uint64, v float64) {
 	checkAligned(addr)
 	if m.subscribed(gpu, addr) {
 		m.replicas[gpu][addr] = v
 	}
-	q := m.queues[gpu]
-	line := addr &^ (m.lineBytes - 1)
-	p := q.lastP
-	if p == nil || q.last != line {
-		p = q.lines[line]
-		if p == nil {
-			p = q.get(m.wordsPerLine)
-			q.lines[line] = p
-			q.order = append(q.order, line)
-		}
-		q.last, q.lastP = line, p
+	line := uint64(m.geom.LineBase(memsys.VAddr(addr)))
+	words := m.pending[gpu][line]
+	if words == nil {
+		words = map[uint64]float64{}
+		m.pending[gpu][line] = words
 	}
-	w := (addr - line) / wordBytes
-	p.mask[w>>6] |= 1 << (w & 63)
-	p.vals[w] = v
+	words[addr] = v
+	m.queues[gpu].PushStore(memsys.VAddr(addr))
 }
 
 // Load performs a load by gpu: from the local replica when subscribed,
-// otherwise remotely from the lowest-numbered subscriber (Section 3.2: a
-// non-subscriber load does not fault, it issues remotely).
+// otherwise from the block pending in gpu's own write queue when it holds
+// the word (Section 5.1), otherwise remotely from the lowest-numbered
+// subscriber (Section 3.2: a non-subscriber load does not fault, it issues
+// remotely).
 func (m *Machine) Load(gpu int, addr uint64) float64 {
 	checkAligned(addr)
 	if m.subscribed(gpu, addr) {
 		return m.replicas[gpu][addr]
 	}
-	host := bits.TrailingZeros64(m.subscribers(addr))
-	if host >= m.n {
-		return 0
+	if m.queues[gpu].Contains(memsys.VAddr(addr)) {
+		m.Forwarded++
+		if v, ok := m.pending[gpu][uint64(m.geom.LineBase(memsys.VAddr(addr)))][addr]; ok {
+			return v
+		}
 	}
-	return m.replicas[host][addr]
-}
-
-// Drain delivers gpu's least recently added queued line to every remote
-// subscriber (the watermark drain path). It reports whether anything
-// drained.
-func (m *Machine) Drain(gpu int) bool {
-	q := m.queues[gpu]
-	if len(q.order) == 0 {
-		return false
-	}
-	line := q.order[0]
-	q.order = q.order[1:]
-	p := q.lines[line]
-	m.deliver(gpu, line, p)
-	delete(q.lines, line)
-	q.free = append(q.free, p)
-	if q.last == line {
-		q.lastP = nil // the recycled buffer must not shadow a future store
-	}
-	return true
-}
-
-// Flush drains gpu's entire queue in insertion order (a sys-scoped fence).
-func (m *Machine) Flush(gpu int) {
-	for m.Drain(gpu) {
-	}
+	return m.replicas[bits.TrailingZeros64(m.subscribers(addr))][addr]
 }
 
 // Barrier is the global synchronization ending a phase: every GPU's queue
 // flushes and delivers (the implicit sys-scoped release at the end of every
 // grid plus the inter-GPU barrier).
 func (m *Machine) Barrier() {
-	for g := 0; g < m.n; g++ {
-		m.Flush(g)
+	for _, q := range m.queues {
+		q.Flush()
 	}
 }
 
-func (m *Machine) deliver(src int, line uint64, p *pendingLine) {
+// deliver is every queue's drain sink: it moves the drained line's words to
+// each remote subscriber's replica.
+func (m *Machine) deliver(d core.Drained) {
+	src, line := d.SrcGPU, uint64(d.LineVA)
+	words := m.pending[src][line]
+	delete(m.pending[src], line)
 	mask := m.subscribers(line)
 	for dst := 0; dst < m.n; dst++ {
 		if dst == src || mask&(1<<dst) == 0 {
 			continue
 		}
-		rep := m.replicas[dst]
-		for mw, bitsLeft := range p.mask {
-			for bitsLeft != 0 {
-				w := mw*64 + bits.TrailingZeros64(bitsLeft)
-				bitsLeft &= bitsLeft - 1
-				rep[line+uint64(w)*wordBytes] = p.vals[w]
-			}
+		for a, v := range words {
+			m.replicas[dst][a] = v
 		}
-		m.Delivered++
+		m.Delivered[src][dst]++
 	}
 }
 
-// PendingLines returns the number of lines still queued on gpu.
-func (m *Machine) PendingLines(gpu int) int { return len(m.queues[gpu].order) }
-
 // ReplicasConsistent reports whether, for every address any GPU holds, all
-// subscribers of that address agree on the value. Only meaningful at
-// barriers (between them, staleness is allowed by the memory model).
+// subscribers of that address agree on it: the same value, or all lacking
+// it. Only meaningful at barriers (between them, staleness is allowed by the
+// memory model).
 func (m *Machine) ReplicasConsistent() error {
 	addrs := map[uint64]bool{}
 	for g := 0; g < m.n; g++ {
@@ -255,21 +230,15 @@ func (m *Machine) ReplicasConsistent() error {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	for _, a := range sorted {
 		mask := m.subscribers(a)
-		ref, refSet := 0.0, false
-		for g := 0; g < m.n; g++ {
+		ref := bits.TrailingZeros64(mask)
+		refV, refOK := m.replicas[ref][a]
+		for g := ref + 1; g < m.n; g++ {
 			if mask&(1<<g) == 0 {
 				continue
 			}
-			v, ok := m.replicas[g][a]
-			if !ok {
-				continue
-			}
-			if !refSet {
-				ref, refSet = v, true
-				continue
-			}
-			if v != ref {
-				return fmt.Errorf("funcsim: replicas diverge at %#x: %v vs %v", a, ref, v)
+			if v, ok := m.replicas[g][a]; ok != refOK || v != refV {
+				return fmt.Errorf("funcsim: replicas diverge at %#x: GPU %d has %v (held %t), GPU %d has %v (held %t)",
+					a, ref, refV, refOK, g, v, ok)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package funcsim
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -35,8 +34,8 @@ func TestCoalescingDeliversLatestValue(t *testing.T) {
 	m := newMachine(t, 2)
 	m.Store(0, 8, 1)
 	m.Store(0, 8, 2) // coalesces in the queue
-	if m.PendingLines(0) != 1 {
-		t.Fatalf("pending = %d, want 1 coalesced line", m.PendingLines(0))
+	if m.Queue(0).Len() != 1 {
+		t.Fatalf("pending = %d, want 1 coalesced line", m.Queue(0).Len())
 	}
 	m.Barrier()
 	if got := m.Load(1, 8); got != 2 {
@@ -48,7 +47,7 @@ func TestDrainDeliversOldestFirst(t *testing.T) {
 	m := newMachine(t, 2)
 	m.Store(0, 0, 1)   // line 0
 	m.Store(0, 128, 2) // line 1
-	if !m.Drain(0) {
+	if !m.Queue(0).DrainOldest() {
 		t.Fatal("drain failed")
 	}
 	if got := m.Load(1, 0); got != 1 {
@@ -57,11 +56,11 @@ func TestDrainDeliversOldestFirst(t *testing.T) {
 	if got := m.Load(1, 128); got != 0 {
 		t.Fatal("newer line delivered early")
 	}
-	m.Flush(0)
+	m.Queue(0).Flush()
 	if got := m.Load(1, 128); got != 2 {
 		t.Fatal("flush incomplete")
 	}
-	if m.Drain(0) {
+	if m.Queue(0).DrainOldest() {
 		t.Fatal("drain on empty queue reported work")
 	}
 }
@@ -104,6 +103,63 @@ func TestNonSubscriberStoreStillPublishes(t *testing.T) {
 	// The writer itself reads it back remotely.
 	if got := m.Load(0, 0); got != 9 {
 		t.Fatalf("non-subscriber writer read back %v", got)
+	}
+}
+
+// Section 5.1: a non-subscriber's load to a line pending in its own write
+// queue forwards from the queue, so the writer reads its own write before
+// any drain reaches a subscriber.
+func TestNonSubscriberReadsOwnQueuedWrite(t *testing.T) {
+	m := newMachine(t, 4)
+	if err := m.SetSubscribers(0, 64<<10, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	m.Store(0, 0, 9)
+	if got := m.Load(0, 0); got != 9 {
+		t.Fatalf("non-subscriber writer read %v before the drain, want its own 9", got)
+	}
+	if got := m.Load(0, 8); got != 0 {
+		t.Fatalf("unwritten word of the queued line = %v, want the subscriber's 0", got)
+	}
+	if m.Forwarded != 2 {
+		t.Fatalf("Forwarded = %d, want 2 loads served by the queued line", m.Forwarded)
+	}
+	m.Barrier()
+	if got := m.Load(0, 0); got != 9 || m.Forwarded != 2 {
+		t.Fatalf("after the barrier: read %v with Forwarded = %d, want 9 read remotely", got, m.Forwarded)
+	}
+}
+
+// Subscriptions change at barriers (Section 3.2): a GPU that joins a page's
+// subscribers gets its replica populated from an existing subscriber.
+func TestWidenedSubscriberIsPopulated(t *testing.T) {
+	m := newMachine(t, 4)
+	if err := m.SetSubscribers(0, 64<<10, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.Store(0, 0, 5)
+	if err := m.SetSubscribers(0, 64<<10, 0, 1, 2); err == nil {
+		t.Fatal("subscription change accepted while a queue holds lines")
+	}
+	m.Barrier()
+	if err := m.SetSubscribers(0, 64<<10, 0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Load(2, 0); got != 5 {
+		t.Fatalf("new subscriber read %v, want the populated 5", got)
+	}
+	if err := m.ReplicasConsistent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestReplicasConsistentDetectsMissingWord(t *testing.T) {
+	m := newMachine(t, 2)
+	m.Store(0, 0, 1)
+	m.Barrier()
+	delete(m.replicas[1], 0)
+	if err := m.ReplicasConsistent(); err == nil {
+		t.Fatal("a word one subscriber lacks was not reported")
 	}
 }
 
@@ -230,7 +286,7 @@ func TestRandomExclusiveWriterProgramsConverge(t *testing.T) {
 				m.Store(owner, uint64(w)*wordBytes, float64(trial*1000+phase*100+w))
 				// Interleave opportunistic drains.
 				if rng.Intn(4) == 0 {
-					m.Drain(owner)
+					m.Queue(owner).DrainOldest()
 				}
 			}
 			m.Barrier()
@@ -286,11 +342,13 @@ func TestDeliveredCountsTraffic(t *testing.T) {
 	m := newMachine(t, 4)
 	m.Store(0, 0, 1)
 	m.Barrier()
-	if m.Delivered != 3 {
-		t.Fatalf("Delivered = %d, want 3 (one line to each of 3 peers)", m.Delivered)
+	for dst := 1; dst < 4; dst++ {
+		if m.Delivered[0][dst] != 1 {
+			t.Fatalf("Delivered[0][%d] = %d, want one line to each of 3 peers", dst, m.Delivered[0][dst])
+		}
 	}
-	if math.IsNaN(float64(m.Delivered)) {
-		t.Fatal("unreachable")
+	if m.Delivered[0][0] != 0 || m.Delivered[1][0] != 0 {
+		t.Fatalf("Delivered = %v: the writer's own replica and idle GPUs publish nothing", m.Delivered)
 	}
 }
 

@@ -53,11 +53,8 @@ type GPU struct {
 type GPS struct {
 	WriteQueueEntries   int // remote write queue capacity (cache blocks)
 	WriteQueueEntrySize int // bytes of SRAM per entry (135 B in the paper)
-	// HighWatermark is the occupancy at which the queue begins draining the
-	// least-recently-added entry. The paper sets it to capacity-1.
-	HighWatermark int
-	TLBEntries    int // GPS-TLB entries (32 in the paper)
-	TLBWays       int // 8-way set associative
+	TLBEntries          int // GPS-TLB entries (32 in the paper)
+	TLBWays             int // 8-way set associative
 }
 
 // Config bundles a GPU model with its GPS structures.
@@ -102,7 +99,6 @@ func DefaultGPS() GPS {
 	return GPS{
 		WriteQueueEntries:   512,
 		WriteQueueEntrySize: 135,
-		HighWatermark:       511, // capacity - 1, maximizing coalescing window
 		TLBEntries:          32,
 		TLBWays:             8,
 	}
@@ -145,8 +141,6 @@ func (c Config) Validate() error {
 	switch {
 	case s.WriteQueueEntries <= 0:
 		return fmt.Errorf("gpuconf: write queue must have at least one entry")
-	case s.HighWatermark <= 0 || s.HighWatermark > s.WriteQueueEntries:
-		return fmt.Errorf("gpuconf: watermark %d out of range (1..%d)", s.HighWatermark, s.WriteQueueEntries)
 	case s.TLBEntries <= 0 || s.TLBWays <= 0 || s.TLBEntries%s.TLBWays != 0:
 		return fmt.Errorf("gpuconf: GPS-TLB %d entries / %d ways invalid", s.TLBEntries, s.TLBWays)
 	}

@@ -67,7 +67,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero clock", func(c *Config) { c.GPU.ClockHz = 0 }},
 		{"zero SMs", func(c *Config) { c.GPU.SMs = 0 }},
 		{"zero queue", func(c *Config) { c.GPS.WriteQueueEntries = 0 }},
-		{"watermark over capacity", func(c *Config) { c.GPS.HighWatermark = 1000 }},
 		{"tlb ways mismatch", func(c *Config) { c.GPS.TLBEntries = 33 }},
 	}
 	for _, m := range mut {

@@ -66,10 +66,12 @@ func (p Policy) Delay(attempt int, rnd *rand.Rand) time.Duration {
 // schedules instant and clock-independent.
 type Sleeper func(ctx context.Context, d time.Duration) error
 
-// Sleep is the production Sleeper.
+// Sleep is the production Sleeper. A context that is already done wins even
+// over a timer that fires before the select runs: select picks at random
+// among ready cases.
 func Sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
+	if err := ctx.Err(); d <= 0 || err != nil {
+		return err
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
